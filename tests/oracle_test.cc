@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "common/check.h"
 #include "executor/executor.h"
@@ -104,8 +105,14 @@ Result<std::vector<Row>> BruteForce(const Database& db,
 }
 
 struct OracleCase {
+  const char* label;
   const char* sql;
 };
+
+// gtest prints the parameter into each test's listing, and CMake's test
+// discovery copies that into the ctest name: print the label, not the raw
+// bytes (which hold pointers).
+void PrintTo(const OracleCase& c, std::ostream* os) { *os << c.label; }
 
 class OracleTest : public ::testing::TestWithParam<OracleCase> {};
 
@@ -152,32 +159,48 @@ TEST_P(OracleTest, PipelineMatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(
     Corpus, OracleTest,
     ::testing::Values(
-        OracleCase{"SELECT id, amount FROM orders WHERE id = 1234"},
-        OracleCase{"SELECT id FROM orders WHERE amount BETWEEN 250 AND 300"},
-        OracleCase{"SELECT id FROM orders WHERE region = 'north' "
+        OracleCase{"point_lookup",
+                   "SELECT id, amount FROM orders WHERE id = 1234"},
+        OracleCase{"amount_between",
+                   "SELECT id FROM orders WHERE amount BETWEEN 250 AND 300"},
+        OracleCase{"region_and_amount",
+                   "SELECT id FROM orders WHERE region = 'north' "
                    "AND amount < 100"},
-        OracleCase{"SELECT id FROM orders WHERE id IN (3, 33, 333, 3333)"},
-        OracleCase{"SELECT id FROM orders WHERE amount < 50 OR amount > 980"},
-        OracleCase{"SELECT id FROM orders WHERE NOT (flag = true) "
+        OracleCase{"in_list",
+                   "SELECT id FROM orders WHERE id IN (3, 33, 333, 3333)"},
+        OracleCase{"or_ranges",
+                   "SELECT id FROM orders WHERE amount < 50 OR amount > 980"},
+        OracleCase{"not_flag",
+                   "SELECT id FROM orders WHERE NOT (flag = true) "
                    "AND customer_id < 20"},
-        OracleCase{"SELECT o.id, c.name FROM orders o, customers c "
+        OracleCase{"join_point",
+                   "SELECT o.id, c.name FROM orders o, customers c "
                    "WHERE o.customer_id = c.cid AND c.cid = 42"},
-        OracleCase{"SELECT o.id FROM orders o, customers c "
+        OracleCase{"join_filters",
+                   "SELECT o.id FROM orders o, customers c "
                    "WHERE o.customer_id = c.cid AND c.score > 90 "
                    "AND o.amount < 150"},
-        OracleCase{"SELECT count(*) FROM orders o, customers c "
+        OracleCase{"join_count",
+                   "SELECT count(*) FROM orders o, customers c "
                    "WHERE o.customer_id = c.cid"},
-        OracleCase{"SELECT region, count(*), avg(amount) FROM orders "
+        OracleCase{"group_by_region",
+                   "SELECT region, count(*), avg(amount) FROM orders "
                    "WHERE amount > 500 GROUP BY region"},
-        OracleCase{"SELECT c.name, count(*) FROM orders o, customers c "
+        OracleCase{"join_group_by",
+                   "SELECT c.name, count(*) FROM orders o, customers c "
                    "WHERE o.customer_id = c.cid AND c.cid < 10 "
                    "GROUP BY c.name"},
-        OracleCase{"SELECT min(amount), max(amount), sum(amount) FROM orders "
+        OracleCase{"min_max_sum",
+                   "SELECT min(amount), max(amount), sum(amount) FROM orders "
                    "WHERE region = 'emea'"},
-        OracleCase{"SELECT flag, count(*) FROM orders GROUP BY flag"},
-        OracleCase{"SELECT id + 1, amount * 2 FROM orders WHERE id < 10"},
-        OracleCase{"SELECT id FROM orders WHERE flag IS NULL "
-                   "AND amount BETWEEN 100 AND 200"}));
+        OracleCase{"group_by_flag",
+                   "SELECT flag, count(*) FROM orders GROUP BY flag"},
+        OracleCase{"arith_projection",
+                   "SELECT id + 1, amount * 2 FROM orders WHERE id < 10"},
+        OracleCase{"is_null_between",
+                   "SELECT id FROM orders WHERE flag IS NULL "
+                   "AND amount BETWEEN 100 AND 200"}),
+    testing_util::CaseName());
 
 }  // namespace
 }  // namespace parinda

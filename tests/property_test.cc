@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 
 #include "common/check.h"
 #include "common/random.h"
@@ -202,9 +203,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MipExactness, ::testing::Range(1, 21));
 // ---------------------------------------------------------------------------
 
 struct RewriteCase {
+  const char* label;
   int seed;
   const char* sql;
 };
+
+// gtest prints the parameter into each test's listing, and CMake's test
+// discovery copies that into the ctest name: print the label, not the raw
+// bytes (which hold pointers).
+void PrintTo(const RewriteCase& c, std::ostream* os) { *os << c.label; }
 
 class RewriteEquivalence : public ::testing::TestWithParam<RewriteCase> {};
 
@@ -259,22 +266,25 @@ TEST_P(RewriteEquivalence, SameRowsAfterRewrite) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, RewriteEquivalence,
     ::testing::Values(
-        RewriteCase{1, "SELECT amount FROM orders WHERE amount > 900"},
-        RewriteCase{2, "SELECT region, count(*) FROM orders GROUP BY region"},
-        RewriteCase{3,
+        RewriteCase{"amount_filter", 1,
+                    "SELECT amount FROM orders WHERE amount > 900"},
+        RewriteCase{"group_by_region", 2,
+                    "SELECT region, count(*) FROM orders GROUP BY region"},
+        RewriteCase{"flag_and_amount", 3,
                     "SELECT id, amount, region FROM orders "
                     "WHERE flag = true AND amount < 250"},
-        RewriteCase{4, "SELECT count(*) FROM orders"},
-        RewriteCase{5,
+        RewriteCase{"count_star", 4, "SELECT count(*) FROM orders"},
+        RewriteCase{"group_order_by", 5,
                     "SELECT region, avg(amount) FROM orders "
                     "WHERE customer_id < 50 GROUP BY region ORDER BY region"},
-        RewriteCase{6,
+        RewriteCase{"between_order_limit", 6,
                     "SELECT id FROM orders WHERE amount BETWEEN 400 AND 500 "
                     "ORDER BY id DESC LIMIT 20"},
-        RewriteCase{7, "SELECT max(amount), min(id) FROM orders"},
-        RewriteCase{8,
+        RewriteCase{"min_max", 7, "SELECT max(amount), min(id) FROM orders"},
+        RewriteCase{"expr_and_is_not_null", 8,
                     "SELECT amount + 1 FROM orders WHERE region = 'north' "
-                    "AND flag IS NOT NULL"}));
+                    "AND flag IS NOT NULL"}),
+    testing_util::CaseName());
 
 // ---------------------------------------------------------------------------
 // Property 5: query answers are invariant under planner method flags (every
@@ -282,8 +292,11 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 struct FlagCase {
+  const char* label;
   bool seqscan, indexscan, nestloop, mergejoin, hashjoin;
 };
+
+void PrintTo(const FlagCase& c, std::ostream* os) { *os << c.label; }
 
 class PlanInvariance : public ::testing::TestWithParam<FlagCase> {};
 
@@ -318,15 +331,17 @@ TEST_P(PlanInvariance, JoinQueryResultStable) {
 
 INSTANTIATE_TEST_SUITE_P(
     Flags, PlanInvariance,
-    ::testing::Values(FlagCase{true, true, true, true, true},
-                      FlagCase{true, true, false, true, true},
-                      FlagCase{true, true, true, false, true},
-                      FlagCase{true, true, true, true, false},
-                      FlagCase{true, true, true, false, false},
-                      FlagCase{true, true, false, true, false},
-                      FlagCase{true, true, false, false, true},
-                      FlagCase{true, false, true, true, true},
-                      FlagCase{false, true, true, true, true}));
+    ::testing::Values(
+        FlagCase{"all_on", true, true, true, true, true},
+        FlagCase{"no_nestloop", true, true, false, true, true},
+        FlagCase{"no_mergejoin", true, true, true, false, true},
+        FlagCase{"no_hashjoin", true, true, true, true, false},
+        FlagCase{"nestloop_only", true, true, true, false, false},
+        FlagCase{"mergejoin_only", true, true, false, true, false},
+        FlagCase{"hashjoin_only", true, true, false, false, true},
+        FlagCase{"no_indexscan", true, false, true, true, true},
+        FlagCase{"no_seqscan", false, true, true, true, true}),
+    testing_util::CaseName());
 
 }  // namespace
 }  // namespace parinda

@@ -12,6 +12,17 @@
 namespace parinda {
 namespace testing_util {
 
+/// Name generator for INSTANTIATE_TEST_SUITE_P: "<case index>_<label>",
+/// from a `label` member of the parameter struct. gtest's default prints a
+/// struct parameter's raw bytes, pointer bits included, so those names
+/// change from build to build.
+struct CaseName {
+  template <typename ParamInfo>
+  std::string operator()(const ParamInfo& info) const {
+    return std::to_string(info.index) + "_" + info.param.label;
+  }
+};
+
 /// Builds `orders(id bigint PK, customer_id bigint, amount double,
 /// region varchar, flag bool)` with `rows` rows of deterministic data:
 ///  - id: 0..rows-1 in physical order (correlation 1.0)
