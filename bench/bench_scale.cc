@@ -1,15 +1,14 @@
 // E10 — large-workload scaling (DESIGN.md §15). Expands the 30 SDSS
-// templates into thousand-query workloads and sweeps the three scaling
-// features — workload compression, sparse benefit rows, the incremental
-// branch-and-bound solver — as ablation arms. Every arm must produce the
-// bit-identical advice; the features only change how fast it is computed.
+// templates into thousand-query workloads and times the scaling pipeline —
+// workload compression, sparse benefit rows, the incremental
+// branch-and-bound solver — across workload sizes (E10a), then counts the
+// solver's LP copies on a deep branch-and-bound tree (E10c).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "advisor/index_advisor.h"
 #include "autopart/autopart.h"
@@ -38,27 +37,22 @@ Workload ScaledWorkload(const Database& db, int num_queries) {
 }
 
 /// One pipeline run: index advice (static greedy over the benefit matrix)
-/// plus partition advice, under one ablation setting.
+/// plus partition advice.
 struct PipelineResult {
   double wall_ms = 0.0;
   IndexAdvice indexes;
   PartitionAdvice partitions;
 };
 
-PipelineResult RunPipeline(const Database& db, const Workload& workload,
-                           bool compress, bool sparse) {
+PipelineResult RunPipeline(const Database& db, const Workload& workload) {
   PipelineResult out;
   const auto start = std::chrono::steady_clock::now();
-  IndexAdvisorOptions advisor_options;
-  advisor_options.compress = compress;
-  advisor_options.sparse_benefit = sparse;
-  IndexAdvisor advisor(db.catalog(), workload, advisor_options);
+  IndexAdvisor advisor(db.catalog(), workload);
   auto index_advice = advisor.SuggestWithStaticGreedy();
   PARINDA_CHECK_OK(index_advice);
   out.indexes = std::move(*index_advice);
 
   AutoPartOptions autopart_options;
-  autopart_options.compress = compress;
   autopart_options.max_iterations = 1;
   autopart_options.max_candidates_per_iteration = 16;
   AutoPartAdvisor autopart(db.catalog(), workload, autopart_options);
@@ -69,47 +63,17 @@ PipelineResult RunPipeline(const Database& db, const Workload& workload,
   return out;
 }
 
-/// Bitwise advice identity across two pipeline runs: same indexes (defs and
-/// reported doubles), same fragments, same totals.
-bool SameAdvice(const PipelineResult& a, const PipelineResult& b) {
-  if (a.indexes.indexes.size() != b.indexes.indexes.size()) return false;
-  for (size_t i = 0; i < a.indexes.indexes.size(); ++i) {
-    const SuggestedIndex& x = a.indexes.indexes[i];
-    const SuggestedIndex& y = b.indexes.indexes[i];
-    if (x.def.table != y.def.table || x.def.columns != y.def.columns ||
-        x.benefit != y.benefit || x.size_bytes != y.size_bytes) {
-      return false;
-    }
-  }
-  if (a.indexes.base_cost != b.indexes.base_cost ||
-      a.indexes.optimized_cost != b.indexes.optimized_cost) {
-    return false;
-  }
-  if (a.partitions.fragments.size() != b.partitions.fragments.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.partitions.fragments.size(); ++i) {
-    if (a.partitions.fragments[i].table != b.partitions.fragments[i].table ||
-        a.partitions.fragments[i].columns !=
-            b.partitions.fragments[i].columns) {
-      return false;
-    }
-  }
-  return a.partitions.base_cost == b.partitions.base_cost &&
-         a.partitions.optimized_cost == b.partitions.optimized_cost;
-}
-
 void RunSizeSweep() {
   Database* db = bench_util::SharedSdss(20000);
   bench_util::PrintHeader(
-      "E10a: workload size sweep, full scaling pipeline (compress + sparse)");
+      "E10a: workload size sweep, full scaling pipeline");
   std::printf("%-8s %10s %10s %12s %12s\n", "queries", "distinct", "ratio",
               "sparse nnz", "wall (ms)");
   for (const int n : {500, 1000, 2000}) {
     const Workload workload = ScaledWorkload(*db, n);
     const CompressedWorkload compressed =
         CompressWorkload(db->catalog(), workload);
-    const PipelineResult full = RunPipeline(*db, workload, true, true);
+    const PipelineResult full = RunPipeline(*db, workload);
     const int64_t nnz =
         metrics::Registry::Global().gauge("advisor.sparse_nnz").value();
     std::printf("%-8d %10d %9.1fx %12lld %12.1f\n", n,
@@ -125,52 +89,9 @@ void RunSizeSweep() {
   }
 }
 
-void RunAblation() {
-  Database* db = bench_util::SharedSdss(20000);
-  const int kQueries = 2000;
-  const Workload workload = ScaledWorkload(*db, kQueries);
-  bench_util::PrintHeader(
-      "E10b ablation: 2000-query pipeline, features on vs off");
-  struct Arm {
-    const char* name;
-    bool compress;
-    bool sparse;
-  };
-  const Arm arms[] = {
-      {"full", true, true},
-      {"no-compress", false, true},
-      {"dense", true, false},
-      {"all-off", false, false},
-  };
-  std::printf("%-14s %12s %10s %10s\n", "arm", "wall (ms)", "speedup",
-              "identical");
-  std::vector<PipelineResult> results;
-  for (const Arm& arm : arms) {
-    results.push_back(RunPipeline(*db, workload, arm.compress, arm.sparse));
-  }
-  const double full_ms = results[0].wall_ms;
-  for (size_t i = 0; i < results.size(); ++i) {
-    const bool identical = SameAdvice(results[0], results[i]);
-    PARINDA_CHECK(identical);
-    std::printf("%-14s %12.1f %9.2fx %10s\n", arms[i].name,
-                results[i].wall_ms, results[i].wall_ms / full_ms,
-                identical ? "yes" : "no");
-  }
-  const double off_ms = results[3].wall_ms;
-  std::printf("full pipeline vs all-off: %.2fx faster, advice identical\n",
-              off_ms / full_ms);
-  bench_util::RecordMetric("e10b.queries", kQueries);
-  bench_util::RecordMetric("e10b.full_ms", full_ms);
-  bench_util::RecordMetric("e10b.no_compress_ms", results[1].wall_ms);
-  bench_util::RecordMetric("e10b.dense_ms", results[2].wall_ms);
-  bench_util::RecordMetric("e10b.all_off_ms", off_ms);
-  bench_util::RecordMetric("e10b.speedup", off_ms / full_ms);
-  bench_util::RecordMetric("e10b.advice_identical", 1.0);
-}
-
 /// A deterministic multi-constraint knapsack whose LP relaxation is
 /// fractional at many nodes — the advisor's real ILPs usually solve at the
-/// root, so the solver comparison needs an instance with an actual tree.
+/// root, so counting copies per solve needs an instance with an actual tree.
 BinaryMip MakeHardKnapsack(int n) {
   BinaryMip mip;
   mip.lp.objective.resize(static_cast<size_t>(n));
@@ -197,57 +118,31 @@ BinaryMip MakeHardKnapsack(int n) {
   return mip;
 }
 
-void RunSolverAblation() {
-  // E10c — incremental (one shared LP, in-place bounds, best-first, rounded
-  // warm start) vs copy-per-node DFS branch and bound.
-  bench_util::PrintHeader(
-      "E10c ablation: incremental vs copy-per-node branch and bound");
+void RunSolverCopies() {
+  // E10c — the incremental branch and bound (one shared LP, in-place bounds,
+  // best-first, rounded warm start) copies the LP once per solve, however
+  // deep the tree.
+  bench_util::PrintHeader("E10c: branch-and-bound LP copies on a deep tree");
   const BinaryMip mip = MakeHardKnapsack(40);
   metrics::Counter& lp_copies =
       metrics::Registry::Global().counter("solver.lp_copies");
-  struct Outcome {
-    double wall_ms = 0.0;
-    int64_t lp_copies = 0;
-    MipSolution solution;
-  };
-  auto run = [&](bool incremental) {
-    MipOptions options;
-    options.incremental = incremental;
-    const int64_t copies_before = lp_copies.value();
-    const auto start = std::chrono::steady_clock::now();
-    auto solution = SolveBinaryMip(mip, options);
-    PARINDA_CHECK_OK(solution);
-    PARINDA_CHECK(solution->proved_optimal);
-    Outcome out;
-    out.wall_ms = WallMs(start);
-    out.lp_copies = lp_copies.value() - copies_before;
-    out.solution = std::move(*solution);
-    return out;
-  };
-  const Outcome incremental = run(true);
-  const Outcome legacy = run(false);
-  // Both search strategies are exact: same optimum, different node costs.
-  PARINDA_CHECK(incremental.solution.objective == legacy.solution.objective);
-  std::printf("%-14s %12s %12s %10s %10s\n", "solver", "wall (ms)",
-              "LP copies", "explored", "pruned");
-  std::printf("%-14s %12.2f %12lld %10d %10d\n", "incremental",
-              incremental.wall_ms,
-              static_cast<long long>(incremental.lp_copies),
-              incremental.solution.nodes_explored,
-              incremental.solution.nodes_pruned);
-  std::printf("%-14s %12.2f %12lld %10d %10d\n", "copy-per-node",
-              legacy.wall_ms, static_cast<long long>(legacy.lp_copies),
-              legacy.solution.nodes_explored, legacy.solution.nodes_pruned);
-  bench_util::RecordMetric("e10c.incremental_ms", incremental.wall_ms);
-  bench_util::RecordMetric("e10c.legacy_ms", legacy.wall_ms);
+  const int64_t copies_before = lp_copies.value();
+  const auto start = std::chrono::steady_clock::now();
+  auto solution = SolveBinaryMip(mip);
+  PARINDA_CHECK_OK(solution);
+  PARINDA_CHECK(solution->proved_optimal);
+  const double wall_ms = WallMs(start);
+  const int64_t copies = lp_copies.value() - copies_before;
+  std::printf("%12s %12s %10s %10s\n", "wall (ms)", "LP copies", "explored",
+              "pruned");
+  std::printf("%12.2f %12lld %10d %10d\n", wall_ms,
+              static_cast<long long>(copies), solution->nodes_explored,
+              solution->nodes_pruned);
+  bench_util::RecordMetric("e10c.incremental_ms", wall_ms);
   bench_util::RecordMetric("e10c.incremental_lp_copies",
-                           static_cast<double>(incremental.lp_copies));
-  bench_util::RecordMetric("e10c.legacy_lp_copies",
-                           static_cast<double>(legacy.lp_copies));
+                           static_cast<double>(copies));
   bench_util::RecordMetric("e10c.incremental_nodes",
-                           incremental.solution.nodes_explored);
-  bench_util::RecordMetric("e10c.legacy_nodes",
-                           legacy.solution.nodes_explored);
+                           solution->nodes_explored);
 }
 
 void BM_ScaledPipeline(benchmark::State& state) {
@@ -255,7 +150,7 @@ void BM_ScaledPipeline(benchmark::State& state) {
   const Workload workload =
       ScaledWorkload(*db, static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    const PipelineResult result = RunPipeline(*db, workload, true, true);
+    const PipelineResult result = RunPipeline(*db, workload);
     benchmark::DoNotOptimize(result.indexes.optimized_cost);
   }
 }
@@ -267,8 +162,7 @@ BENCHMARK(BM_ScaledPipeline)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond)
 int main(int argc, char** argv) {
   parinda::bench_util::InitFlags(&argc, argv);
   parinda::RunSizeSweep();
-  parinda::RunAblation();
-  parinda::RunSolverAblation();
+  parinda::RunSolverCopies();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   parinda::bench_util::WriteJsonIfEnabled("bench_scale");

@@ -122,9 +122,6 @@ inline void InitFlags(int* argc, char** argv) {
   if (internal::TraceEnabled()) trace::Start();
 }
 
-/// Backwards-compatible alias; InitFlags also understands --trace.
-inline void InitJson(int* argc, char** argv) { InitFlags(argc, argv); }
-
 /// Writes the recorded metrics to `--json`'s path (default
 /// BENCH_<bench_name>.json in the working directory). No-op without --json.
 /// Names are JSON-escaped; non-finite values are emitted as null (bare nan

@@ -4,30 +4,12 @@
 
 namespace parinda {
 
-void BenefitMatrix::Reset(int num_queries, int num_candidates, bool sparse) {
-  sparse_ = sparse;
+void BenefitMatrix::Reset(int num_queries, int num_candidates) {
   num_candidates_ = num_candidates;
-  rows_.clear();
-  dense_.clear();
-  if (sparse_) {
-    rows_.assign(static_cast<size_t>(num_queries), {});
-  } else {
-    dense_.assign(static_cast<size_t>(num_queries),
-                  std::vector<double>(static_cast<size_t>(num_candidates),
-                                      0.0));
-  }
-}
-
-void BenefitMatrix::Set(int q, int j, double gain) {
-  if (sparse_) {
-    rows_[static_cast<size_t>(q)].push_back({j, gain});
-  } else {
-    dense_[static_cast<size_t>(q)][static_cast<size_t>(j)] = gain;
-  }
+  rows_.assign(static_cast<size_t>(num_queries), {});
 }
 
 double BenefitMatrix::Get(int q, int j) const {
-  if (!sparse_) return dense_[static_cast<size_t>(q)][static_cast<size_t>(j)];
   const std::vector<Entry>& row = rows_[static_cast<size_t>(q)];
   auto it = std::lower_bound(
       row.begin(), row.end(), j,
@@ -37,21 +19,8 @@ double BenefitMatrix::Get(int q, int j) const {
 
 int64_t BenefitMatrix::NonZeros() const {
   int64_t nnz = 0;
-  if (sparse_) {
-    for (const auto& row : rows_) nnz += static_cast<int64_t>(row.size());
-    return nnz;
-  }
-  for (const auto& row : dense_) {
-    for (const double v : row) nnz += v > 0.0 ? 1 : 0;
-  }
+  for (const auto& row : rows_) nnz += static_cast<int64_t>(row.size());
   return nnz;
-}
-
-size_t BenefitMatrix::ApproxBytes() const {
-  size_t bytes = 0;
-  for (const auto& row : rows_) bytes += row.capacity() * sizeof(Entry);
-  for (const auto& row : dense_) bytes += row.capacity() * sizeof(double);
-  return bytes;
 }
 
 }  // namespace parinda

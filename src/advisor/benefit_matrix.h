@@ -13,17 +13,13 @@ namespace parinda {
 /// query (`base - cost` when positive); consumers multiply by the query
 /// weight at use, so the same matrix serves both the original and the
 /// compressed workload view. Most candidates are irrelevant to most queries
-/// (their table sets do not intersect), so the default layout is CSR-style:
+/// (their table sets do not intersect), so the layout is CSR-style:
 /// per-query rows of (candidate, gain) pairs sorted by candidate, holding
 /// only the positive entries — memory is O(nnz) instead of O(nq * nc).
 ///
-/// The dense layout is kept behind `Reset(..., sparse=false)` purely as the
-/// A/B ablation arm for bench_scale; it stores the full nq x nc grid.
-///
-/// Fill contract (both layouts): row q is written only by the worker that
-/// owns query q, with candidates visited in ascending order — rows stay
-/// sorted without a sort pass and the matrix is bit-identical under any
-/// parallelism.
+/// Fill contract: row q is written only by the worker that owns query q,
+/// with candidates visited in ascending order — rows stay sorted without a
+/// sort pass and the matrix is bit-identical under any parallelism.
 class BenefitMatrix {
  public:
   struct Entry {
@@ -31,50 +27,36 @@ class BenefitMatrix {
     double gain = 0.0;
   };
 
-  /// Clears and re-shapes the matrix. Dense mode allocates the full grid up
-  /// front; sparse mode allocates empty rows that grow with Set().
-  void Reset(int num_queries, int num_candidates, bool sparse);
+  /// Clears and re-shapes the matrix: empty rows that grow with Set().
+  void Reset(int num_queries, int num_candidates);
 
-  /// Records a positive stand-alone gain. Sparse rows require ascending
-  /// candidate order per row (the fill loop's natural order).
-  void Set(int q, int j, double gain);
+  /// Records a positive stand-alone gain. Rows require ascending candidate
+  /// order (the fill loop's natural order).
+  void Set(int q, int j, double gain) {
+    rows_[static_cast<size_t>(q)].push_back({j, gain});
+  }
 
-  /// The stored gain, or 0.0 when the entry is absent/zero.
+  /// The stored gain, or 0.0 when the entry is absent.
   double Get(int q, int j) const;
 
   /// Calls fn(candidate, gain) for every positive entry of row q in
   /// ascending candidate order. Skipping the zero entries is bitwise-neutral
   /// for the advisor's accumulations (all of them sum non-negative terms
-  /// into non-negative totals, and x + 0.0 == x for x >= +0.0), so both
-  /// layouts drive consumers through this one iteration shape.
+  /// into non-negative totals, and x + 0.0 == x for x >= +0.0).
   template <typename Fn>
   void ForEachInRow(int q, Fn&& fn) const {
-    if (sparse_) {
-      for (const Entry& e : rows_[static_cast<size_t>(q)]) fn(e.cand, e.gain);
-      return;
-    }
-    const std::vector<double>& row = dense_[static_cast<size_t>(q)];
-    for (int j = 0; j < num_candidates_; ++j) {
-      if (row[static_cast<size_t>(j)] > 0.0) fn(j, row[static_cast<size_t>(j)]);
-    }
+    for (const Entry& e : rows_[static_cast<size_t>(q)]) fn(e.cand, e.gain);
   }
 
   /// Number of stored positive entries across all rows.
   int64_t NonZeros() const;
 
-  /// Approximate heap footprint of the benefit structure.
-  size_t ApproxBytes() const;
-
-  bool sparse() const { return sparse_; }
-  int num_queries() const { return static_cast<int>(sparse_ ? rows_.size() : dense_.size()); }
+  int num_queries() const { return static_cast<int>(rows_.size()); }
   int num_candidates() const { return num_candidates_; }
 
  private:
-  bool sparse_ = true;
   int num_candidates_ = 0;
   std::vector<std::vector<Entry>> rows_;
-  /// Dense ablation arm (the pre-scaling representation).
-  std::vector<std::vector<double>> dense_;  // parinda-lint: allow(dense-benefit)
 };
 
 }  // namespace parinda

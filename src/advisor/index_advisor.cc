@@ -37,13 +37,14 @@ Status IndexAdvisor::Prepare() {
   if (prepared_) return Status::OK();
   // Fold duplicate (text, stats-scope) queries before building any model:
   // engine costs are pure functions of the fold key, so one representative
-  // with the summed weight covers every member exactly (DESIGN.md §15). A
-  // workload with nothing to fold keeps the original object — the
-  // compression machinery adds no work and no report difference.
+  // with the summed weight covers every member exactly (DESIGN.md §15) — the
+  // advice, every reported double included, is bit-identical to one model
+  // per original query. A workload with nothing to fold keeps the original
+  // object, so the expansion adds no work and no report difference.
   eval_workload_ = &workload_;
   expansion_ = nullptr;
   double compression_ratio = 1.0;
-  if (options_.compress) {
+  {
     PARINDA_TRACE_SPAN("advisor.compress");
     auto compressed =
         std::make_unique<CompressedWorkload>(
@@ -89,7 +90,7 @@ Status IndexAdvisor::Prepare() {
   // construction, and WaitAll()'s pool mutex is the one happens-before edge
   // the readers need before the serial selection scan.
   base_cost_.assign(static_cast<size_t>(nq), 0.0);
-  benefit_.Reset(nq, nc, options_.sparse_benefit);
+  benefit_.Reset(nq, nc);
   row_complete_.assign(static_cast<size_t>(nq), 0);
   Status fill = ParallelFor(
       ResolveParallelism(ctx_.parallelism), nq, [&](int q) -> Status {

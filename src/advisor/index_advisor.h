@@ -54,15 +54,6 @@ struct IndexAdvisorOptions {
   /// `parallelism`. The default infinite deadline reproduces the un-budgeted
   /// advice bit-identically. See DESIGN.md §10.
   Deadline deadline;
-  /// Workload compression (DESIGN.md §15): queries with identical normalized
-  /// text and stats scope fold into one representative with summed weight
-  /// before any model is built. Exact by construction — the advice (every
-  /// reported double included) is bit-identical to the uncompressed run.
-  /// Off = the ablation arm for bench_scale.
-  bool compress = true;
-  /// Sparse (CSR-style) benefit rows instead of the dense nq x nc grid.
-  /// Same entries either way; off = the dense ablation arm.
-  bool sparse_benefit = true;
 };
 
 /// One suggested index with its report fields (Figure 3's per-index view).
@@ -181,8 +172,8 @@ class IndexAdvisor {
   /// False when the budget truncated candidate enumeration or the matrix
   /// fill; `row_complete_` says which query rows are trustworthy.
   bool prep_complete_ = true;
-  /// The folded workload view (set when options_.compress folded at least
-  /// one query; the advisor then models `compressed_->workload` and expands
+  /// The folded workload view (set when compression folded at least one
+  /// query; the advisor then models `compressed_->workload` and expands
   /// reports back over `workload_` via `expansion_`).
   std::unique_ptr<CompressedWorkload> compressed_;
   /// The workload the models/matrix are built over: `workload_`, or the

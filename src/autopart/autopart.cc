@@ -25,12 +25,14 @@ std::vector<ColumnId> UnionColumns(const std::vector<ColumnId>& a,
   return {merged.begin(), merged.end()};
 }
 
-/// Folds the workload when compression is on and actually folds something;
-/// nullptr otherwise (the advisor then evaluates the original workload).
+/// Folds duplicate queries (same normalized text, same stats scope) into one
+/// representative each (DESIGN.md §15); nullptr when nothing folds (the
+/// advisor then evaluates the original workload). Never changes the advice:
+/// totals and per-query outputs are expanded back over the original queries
+/// in their original order, so every floating-point add sequence matches a
+/// one-evaluation-per-query run.
 std::unique_ptr<CompressedWorkload> MaybeCompress(const CatalogReader& catalog,
-                                                  const Workload& workload,
-                                                  bool enabled) {
-  if (!enabled) return nullptr;
+                                                  const Workload& workload) {
   PARINDA_TRACE_SPAN("autopart.compress");
   CompressedWorkload compressed = CompressWorkload(catalog, workload);
   if (compressed.folded() == 0) return nullptr;
@@ -60,7 +62,7 @@ AutoPartAdvisor::AutoPartAdvisor(const CatalogReader& catalog,
     : catalog_(catalog),
       workload_(workload),
       options_(options),
-      compressed_(MaybeCompress(catalog, workload, options_.compress)),
+      compressed_(MaybeCompress(catalog, workload)),
       eval_workload_(compressed_ != nullptr ? &compressed_->workload
                                             : &workload_),
       expansion_(compressed_ != nullptr ? &compressed_->expansion : nullptr),
@@ -137,7 +139,6 @@ Result<double> AutoPartAdvisor::EvaluateState(
     std::vector<std::string>* rewritten_sql) {
   PARINDA_FAILPOINT("autopart.evaluate");
   PartitionEvalOptions opts;
-  opts.use_cache = options_.engine_cache;
   // The final (reporting) pass wants rewritten SQL under the stable
   // `<table>_part<k>` names MaterializePartitions will create, so the saved
   // rewritten workload runs against the materialized design as-is; the

@@ -54,26 +54,12 @@ struct AutoPartOptions {
   /// default infinite deadline reproduces the un-budgeted advice
   /// bit-identically. See DESIGN.md §10.
   Deadline deadline;
-  /// Serve candidate evaluations from the engine's per-(query, overlay)
-  /// cost cache (DESIGN.md §13). Never changes the advice — cached costs
-  /// are bit-identical to re-planned ones — only the planner-call count;
-  /// false restores the pre-engine full re-plan per candidate (kept for
-  /// A/B benchmarks).
-  bool engine_cache = true;
   /// Byte budget for the engine's cost cache during the search (DESIGN.md
   /// §14). 0 (default) = unbounded. Under a budget, cold entries are
   /// LRU-evicted and re-planned on the next touch; the advice stays
   /// bit-identical, only planner-call counts change. Eviction is recorded as
   /// `engine:cache-evicted` in the advice's DegradationReport.
   int64_t memory_budget_bytes = 0;
-  /// Fold duplicate queries (same normalized text, same stats scope) into
-  /// one representative before evaluating (DESIGN.md §15). Never changes the
-  /// advice — totals and per-query outputs are expanded back over the
-  /// original queries in their original order, so every floating-point add
-  /// sequence matches the uncompressed run — only the planner-call and
-  /// analysis counts; false keeps the one-evaluation-per-query behaviour
-  /// (the bench_scale ablation arm).
-  bool compress = true;
 };
 
 /// Output of the automatic partition suggestion scenario (Figure 2): the
@@ -120,7 +106,7 @@ class AutoPartAdvisor {
   [[nodiscard]] Result<std::vector<FragmentDef>> AtomicFragments(TableId table) const;
 
   /// The engine evaluator's cache/evaluation counters (exposed for tests
-  /// and the cache-ablation bench).
+  /// and benches).
   EvaluatorStats evaluator_stats() const { return evaluator_.stats(); }
 
   /// The cache governor, when `memory_budget_bytes` armed one; nullptr on

@@ -296,14 +296,14 @@ Result<double> WorkloadEvaluator::EvaluatePartitioning(
     ++stats_.evaluations;
   }
   EvaluationsCounter().Increment();
-  // The reporting pass (stable names + rewritten SQL) always does the full
+  // Per-query costs are served from the cache, except in the reporting pass
+  // (stable names + rewritten SQL), which always does the full
   // rewrite-and-plan work: its fragment names cross table boundaries and its
   // SQL output is not cached.
-  const bool use_cache =
-      opts.use_cache && !opts.stable_names && rewritten_sql == nullptr;
+  const bool cacheable = !opts.stable_names && rewritten_sql == nullptr;
   std::string params_sig;
   std::vector<std::string> unit_sigs;
-  if (use_cache) {
+  if (cacheable) {
     params_sig = ParamsSignature(ctx.params);
     unit_sigs.reserve(design.size());
     for (const PartitionedTable& entry : design) {
@@ -357,7 +357,7 @@ Result<double> WorkloadEvaluator::EvaluatePartitioning(
     // candidate move on other tables leaves this key unchanged — the
     // table-dependency invalidation rule.
     std::string key;
-    if (use_cache) {
+    if (cacheable) {
       key = "q" + std::to_string(q) + '|' + params_sig;
       for (size_t i = 0; i < design.size(); ++i) {
         if (!std::binary_search(query_tables_[static_cast<size_t>(q)].begin(),
@@ -398,7 +398,7 @@ Result<double> WorkloadEvaluator::EvaluatePartitioning(
     // content. Designs that differ only in tables (or fragments) this
     // query's rewrite ignored plan identically.
     std::string plan_key;
-    if (use_cache) {
+    if (cacheable) {
       plan_key = PlanKeyFor(q, params_sig, overlay, rewritten.stmt);
       std::optional<double> hit;
       {
@@ -425,7 +425,7 @@ Result<double> WorkloadEvaluator::EvaluatePartitioning(
     PARINDA_ASSIGN_OR_RETURN(
         Plan plan, PlanQuery(overlay, rewritten.stmt, planner_options));
     const double cost = plan.total_cost();
-    if (use_cache) {
+    if (cacheable) {
       {
         MutexLock lock(mu_);
         ++stats_.cache_misses;

@@ -44,10 +44,6 @@ struct PartitionedTable {
 };
 
 struct PartitionEvalOptions {
-  /// Serve per-query costs from the evaluator's cache when the overlay
-  /// signature matches; false re-plans everything (the pre-engine behavior,
-  /// kept for A/B benchmarks and bit-identity tests).
-  bool use_cache = true;
   /// Name fragments `<table>_part<k>` (the names MaterializePartitions will
   /// create) instead of search-private names. The stable-names pass is the
   /// final reporting pass: it also wants rewritten SQL, so it bypasses the

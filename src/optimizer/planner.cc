@@ -920,8 +920,6 @@ Planner::Stats Planner::stats() {
   return out;
 }
 
-void Planner::ResetStats() { PlansBuiltCounter().Reset(); }
-
 Result<Plan> PlanQuery(const CatalogReader& catalog,
                        const SelectStatement& stmt,
                        const PlannerOptions& options) {

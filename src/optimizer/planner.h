@@ -33,11 +33,9 @@ class Planner {
     int64_t plans_built = 0;
   };
 
-  /// Snapshot of the counters.
+  /// Snapshot of the counters; tests and benches isolate measurement
+  /// windows by differencing two snapshots.
   static Stats stats();
-  /// Resets the counters; tests and benches isolate measurement windows by
-  /// resetting (or by differencing two snapshots).
-  static void ResetStats();
 };
 
 /// Plans a *bound* SELECT statement (see BindStatement) into a physical plan

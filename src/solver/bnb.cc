@@ -29,27 +29,6 @@ metrics::Counter& NodesPrunedCounter() {
   return c;
 }
 
-/// A legacy-path node: variables fixed so far (-1 = free).
-struct Node {
-  std::vector<int8_t> fixed;
-};
-
-/// Applies the node's fixings as extra constraints:
-/// x_i <= 0 (fix to 0) and -x_i <= -1 (fix to 1; the Big-M phase of the LP
-/// solver handles the negative rhs).
-LinearProgram WithFixings(const LinearProgram& lp,
-                          const std::vector<int8_t>& fixed) {
-  LinearProgram out = lp;
-  for (int i = 0; i < lp.num_vars(); ++i) {
-    if (fixed[i] == 0) {
-      out.AddConstraint({{{i, 1.0}}, 0.0});
-    } else if (fixed[i] == 1) {
-      out.AddConstraint({{{i, -1.0}}, -1.0});
-    }
-  }
-  return out;
-}
-
 bool IsIntegral(const std::vector<double>& values, int* most_fractional) {
   *most_fractional = -1;
   double best_dist = kIntEps;
@@ -134,7 +113,8 @@ struct FixRec {
 
 /// Open-list entry: best bound pops first; on equal bounds the larger
 /// sequence number (the most recently pushed child, i.e. the "round up"
-/// branch) pops first, matching the legacy DFS exploration preference.
+/// branch) pops first, the depth-first preference for finding good
+/// incumbents quickly on selection problems.
 struct PqEntry {
   double bound = 0.0;
   int64_t seq = 0;
@@ -146,71 +126,10 @@ bool operator<(const PqEntry& a, const PqEntry& b) {
   return a.seq < b.seq;
 }
 
-/// The original copy-per-node depth-first search, kept as the ablation arm
-/// for bench_scale and as a cross-check oracle in solver_test.
-Result<MipSolution> SolveLegacy(const BinaryMip& mip,
-                                const MipOptions& options) {
-  const int n = mip.lp.num_vars();
-  MipSolution best;
-  best.values.assign(static_cast<size_t>(n), 0);
-  SeedZeroIncumbent(mip.lp, &best);
+}  // namespace
 
-  std::vector<Node> stack;
-  stack.push_back(Node{std::vector<int8_t>(static_cast<size_t>(n), -1)});
-  bool exhausted_cleanly = true;
-
-  while (!stack.empty()) {
-    PARINDA_FAILPOINT("solver.bnb_node");
-    if (best.nodes_explored >= options.max_nodes) {
-      exhausted_cleanly = false;
-      break;
-    }
-    if (options.deadline.Expired()) {
-      // Anytime cut: keep the incumbent, flag the truncation.
-      exhausted_cleanly = false;
-      best.degraded = true;
-      break;
-    }
-    Node node = std::move(stack.back());
-    stack.pop_back();
-    ++best.nodes_explored;
-    NodesExpandedCounter().Increment();
-
-    PARINDA_ASSIGN_OR_RETURN(LpSolution relax,
-                             SolveLp(WithFixings(mip.lp, node.fixed)));
-    if (!relax.feasible) continue;
-    // Bound: the relaxation is an upper bound for this subtree.
-    if (Covered(best, relax.objective, options.relative_gap)) {
-      ++best.nodes_pruned;
-      NodesPrunedCounter().Increment();
-      continue;
-    }
-    int branch_var = -1;
-    if (IsIntegral(relax.values, &branch_var)) {
-      // Integral solution improves the incumbent (bound check passed above).
-      best.feasible = true;
-      best.objective = relax.objective;
-      for (int i = 0; i < n; ++i) {
-        best.values[i] = relax.values[i] > 0.5 ? 1 : 0;
-      }
-      continue;
-    }
-    // Branch: explore the "round up" child first (DFS finds good incumbents
-    // quickly on selection problems).
-    Node down = node;
-    down.fixed[branch_var] = 0;
-    stack.push_back(std::move(down));
-    Node up = std::move(node);
-    up.fixed[branch_var] = 1;
-    stack.push_back(std::move(up));
-  }
-
-  best.proved_optimal = best.feasible && exhausted_cleanly;
-  return best;
-}
-
-Result<MipSolution> SolveIncremental(const BinaryMip& mip,
-                                     const MipOptions& options) {
+Result<MipSolution> SolveBinaryMip(const BinaryMip& mip,
+                                   const MipOptions& options) {
   const int n = mip.lp.num_vars();
   MipSolution best;
   best.values.assign(static_cast<size_t>(n), 0);
@@ -220,7 +139,7 @@ Result<MipSolution> SolveIncremental(const BinaryMip& mip,
   // program after restoring the base bounds and replaying its fixing chain.
   // Fix-to-0 sets upper = 0; fix-to-1 sets lower = 1 (the LP handles lower
   // bounds by substitution, so fixed-to-1 variables never create a Big-M
-  // artificial the way the legacy -x <= -1 rows do).
+  // artificial the way a -x <= -1 row would).
   LinearProgram work = mip.lp;
   std::vector<double> base_upper(static_cast<size_t>(n), 0.0);
   for (int i = 0; i < n; ++i) {
@@ -306,14 +225,6 @@ Result<MipSolution> SolveIncremental(const BinaryMip& mip,
 
   best.proved_optimal = best.feasible && exhausted_cleanly;
   return best;
-}
-
-}  // namespace
-
-Result<MipSolution> SolveBinaryMip(const BinaryMip& mip,
-                                   const MipOptions& options) {
-  if (options.incremental) return SolveIncremental(mip, options);
-  return SolveLegacy(mip, options);
 }
 
 }  // namespace parinda

@@ -29,13 +29,6 @@ struct MipOptions {
   /// default infinite deadline never reads the clock, so un-budgeted solves
   /// are bit-identical to a solver without this knob.
   Deadline deadline;
-  /// Incremental search (the default): one working LP shared by every node,
-  /// with fixings applied by mutating variable bounds in place — O(n) bound
-  /// writes per node instead of an LP copy — plus best-first node ordering
-  /// and a greedy rounded warm start. `false` selects the original
-  /// copy-per-node depth-first search (kept as the bench_scale ablation
-  /// arm). Both paths are exact and reach the same optimum.
-  bool incremental = true;
 };
 
 struct MipSolution {
@@ -47,16 +40,18 @@ struct MipSolution {
   double objective = 0.0;
   std::vector<int> values;  // 0/1 per variable
   int nodes_explored = 0;
-  /// Nodes discarded by the relaxation bound without being branched
-  /// (incremental mode also counts nodes pruned before their LP solve).
+  /// Nodes discarded by the relaxation bound without being branched,
+  /// including nodes pruned before their LP solve.
   int nodes_pruned = 0;
 };
 
 /// Branch and bound with LP-relaxation bounds and most-fractional
-/// branching: best-first over one in-place-mutated LP by default, classic
-/// copy-per-node DFS behind `MipOptions::incremental = false`. Exact on the
-/// advisor's instance sizes. Exploration totals feed the
-/// `solver.nodes_expanded` / `solver.nodes_pruned` metrics.
+/// branching, best-first with a greedy rounded warm start. The search is
+/// incremental: one working LP is shared by every node, and a node's fixings
+/// are applied by writing variable bounds in place — O(n) writes per node
+/// instead of an LP copy. Exact on the advisor's instance sizes.
+/// Exploration totals feed the `solver.nodes_expanded` /
+/// `solver.nodes_pruned` metrics.
 [[nodiscard]] Result<MipSolution> SolveBinaryMip(const BinaryMip& mip,
                                    const MipOptions& options = {});
 

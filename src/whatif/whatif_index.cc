@@ -93,19 +93,6 @@ std::vector<const IndexInfo*> WhatIfIndexSet::IndexesFor(TableId table) const {
   return out;
 }
 
-std::vector<const IndexInfo*> WhatIfIndexSet::AllIndexes() const {
-  std::vector<const IndexInfo*> out;
-  out.reserve(indexes_.size());
-  for (const auto& [id, info] : indexes_) out.push_back(info.get());
-  return out;
-}
-
-double WhatIfIndexSet::TotalSizeBytes() const {
-  double total = 0.0;
-  for (const auto& [id, info] : indexes_) total += info->SizeBytes();
-  return total;
-}
-
 RelationInfoHook WhatIfIndexSet::MakeHook() const {
   return [this](const CatalogReader&, RelOptInfo* rel) {
     for (const auto& [id, info] : indexes_) {

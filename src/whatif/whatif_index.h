@@ -54,11 +54,7 @@ class WhatIfIndexSet {
   /// the zero-size-index flaw benchmark E2 reproduces).
   IndexInfo* GetMutable(IndexId id);
   std::vector<const IndexInfo*> IndexesFor(TableId table) const;
-  std::vector<const IndexInfo*> AllIndexes() const;
   int size() const { return static_cast<int>(indexes_.size()); }
-
-  /// Total hypothetical bytes (for storage-constraint reporting).
-  double TotalSizeBytes() const;
 
   /// Hook that appends this set's indexes to the planner's RelOptInfo —
   /// the analogue of installing PostgreSQL's get_relation_info_hook.

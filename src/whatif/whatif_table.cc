@@ -106,13 +106,6 @@ Result<std::vector<TableId>> WhatIfTableCatalog::AddRangePartitioning(
   return children;
 }
 
-Status WhatIfTableCatalog::RemovePartition(TableId id) {
-  if (tables_.erase(id) == 0) {
-    return Status::NotFound("no what-if table with id " + std::to_string(id));
-  }
-  return Status::OK();
-}
-
 std::vector<const TableInfo*> WhatIfTableCatalog::Partitions() const {
   std::vector<const TableInfo*> out;
   out.reserve(tables_.size());

@@ -58,7 +58,6 @@ class WhatIfTableCatalog : public CatalogReader {
   [[nodiscard]] Result<std::vector<TableId>> AddRangePartitioning(
       const RangePartitionDef& def);
 
-  [[nodiscard]] Status RemovePartition(TableId id);
   void Clear() {
     tables_.clear();
     shadows_.clear();

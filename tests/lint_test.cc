@@ -282,6 +282,31 @@ TEST(LintBareCounter, SuppressionWithRationaleIsHonored) {
   EXPECT_EQ(CountCheck(diags, "bare-counter"), 0);
 }
 
+TEST(LintDenseBenefit, FlagsDenseGridUnderAdvisor) {
+  auto diags = RunOn("src/advisor/scores.cc",
+                     "std::vector<std::vector<double>> grid;\n");
+  ASSERT_EQ(CountCheck(diags, "dense-benefit"), 1);
+  EXPECT_EQ(diags[0].line, 1);
+  EXPECT_NE(diags[0].message.find("BenefitMatrix"), std::string::npos);
+}
+
+TEST(LintDenseBenefit, PathsOutsideAdvisorAreExempt) {
+  const std::string source = "std::vector<std::vector<double>> grid;\n";
+  EXPECT_EQ(CountCheck(RunOn("src/autopart/scores.cc", source),
+                       "dense-benefit"),
+            0);
+  EXPECT_EQ(CountCheck(RunOn("tests/advisor_test.cc", source),
+                       "dense-benefit"),
+            0);
+}
+
+TEST(LintDenseBenefit, SuppressionWorks) {
+  auto diags = RunOn("src/advisor/scores.cc",
+                     "std::vector<std::vector<double>> grid;  "
+                     "// parinda-lint: allow(dense-benefit)\n");
+  EXPECT_EQ(CountCheck(diags, "dense-benefit"), 0);
+}
+
 TEST(LintOverlayInternals, FlagsHandWiredOverlayOutsideDesignLayer) {
   auto diags = RunOn("src/parinda/parinda.cc",
                      "void f(const CatalogReader& c) {\n"

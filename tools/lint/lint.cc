@@ -236,8 +236,7 @@ void CheckDenseBenefit(const CheckContext& ctx) {
   // Scaling rule (DESIGN.md §15): advisor benefit/score structures must not
   // materialize the dense nq x nc grid — most candidates are irrelevant to
   // most queries, and compressed thousand-query workloads make the dense
-  // form the dominant allocation. BenefitMatrix's own dense ablation arm
-  // carries an allow() with its rationale.
+  // form the dominant allocation.
   if (path.find("src/advisor/") == std::string::npos &&
       path.rfind("advisor/", 0) != 0) {
     return;

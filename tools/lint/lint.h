@@ -53,8 +53,6 @@
 ///                      O(nq * nc) memory and scan time and does not scale to
 ///                      compressed thousand-query workloads; store benefits
 ///                      in advisor/BenefitMatrix (CSR-style sparse rows).
-///                      The matrix's own dense ablation arm carries an
-///                      allow() with a rationale.
 ///   header-guard       A .h file whose first preprocessor directives are not
 ///                      `#ifndef`/`#define` (or `#pragma once`).
 ///   todo-no-owner      A TODO comment without an owner: write `TODO(name):`.
