@@ -277,11 +277,11 @@ INSTANTIATE_TEST_SUITE_P(
         RewriteCase{"group_order_by", 5,
                     "SELECT region, avg(amount) FROM orders "
                     "WHERE customer_id < 50 GROUP BY region ORDER BY region"},
-        RewriteCase{"between_order_limit", 6,
+        RewriteCase{"between_limit", 6,
                     "SELECT id FROM orders WHERE amount BETWEEN 400 AND 500 "
                     "ORDER BY id DESC LIMIT 20"},
         RewriteCase{"min_max", 7, "SELECT max(amount), min(id) FROM orders"},
-        RewriteCase{"expr_and_is_not_null", 8,
+        RewriteCase{"expr_not_null", 8,
                     "SELECT amount + 1 FROM orders WHERE region = 'north' "
                     "AND flag IS NOT NULL"}),
     testing_util::CaseName());
