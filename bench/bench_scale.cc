@@ -1,8 +1,9 @@
 // E10 — large-workload scaling (DESIGN.md §15). Expands the 30 SDSS
 // templates into thousand-query workloads and times the scaling pipeline —
 // workload compression, sparse benefit rows, the incremental
-// branch-and-bound solver — across workload sizes (E10a), then counts the
-// solver's LP copies on a deep branch-and-bound tree (E10c).
+// branch-and-bound solver — across workload sizes (E10a), counting the
+// planner calls of a fresh design session's first evaluation on each, then
+// counts the solver's LP copies on a deep branch-and-bound tree (E10c).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -15,6 +16,7 @@
 #include "bench/bench_util.h"
 #include "common/check.h"
 #include "common/metrics.h"
+#include "design/design_session.h"
 #include "solver/bnb.h"
 #include "workload/compress.h"
 #include "workload/sdss_scale.h"
@@ -63,12 +65,21 @@ PipelineResult RunPipeline(const Database& db, const Workload& workload) {
   return out;
 }
 
+/// Planner calls of a fresh design session's first Evaluate() with no design
+/// features: one base plan and one what-if plan per query it evaluates.
+int64_t FirstEvaluatePlans(const Database& db, const Workload& workload) {
+  DesignSession session(db.catalog(), &workload);
+  auto report = session.Evaluate();
+  PARINDA_CHECK_OK(report);
+  return session.last_eval_planner_calls();
+}
+
 void RunSizeSweep() {
   Database* db = bench_util::SharedSdss(20000);
   bench_util::PrintHeader(
       "E10a: workload size sweep, full scaling pipeline");
-  std::printf("%-8s %10s %10s %12s %12s\n", "queries", "distinct", "ratio",
-              "sparse nnz", "wall (ms)");
+  std::printf("%-8s %10s %10s %12s %12s %14s\n", "queries", "distinct",
+              "ratio", "sparse nnz", "wall (ms)", "session plans");
   for (const int n : {500, 1000, 2000}) {
     const Workload workload = ScaledWorkload(*db, n);
     const CompressedWorkload compressed =
@@ -76,9 +87,11 @@ void RunSizeSweep() {
     const PipelineResult full = RunPipeline(*db, workload);
     const int64_t nnz =
         metrics::Registry::Global().gauge("advisor.sparse_nnz").value();
-    std::printf("%-8d %10d %9.1fx %12lld %12.1f\n", n,
+    const int64_t session_plans = FirstEvaluatePlans(*db, workload);
+    std::printf("%-8d %10d %9.1fx %12lld %12.1f %14lld\n", n,
                 compressed.workload.size(), compressed.ratio(),
-                static_cast<long long>(nnz), full.wall_ms);
+                static_cast<long long>(nnz), full.wall_ms,
+                static_cast<long long>(session_plans));
     const std::string prefix = "e10a." + std::to_string(n);
     bench_util::RecordMetric(prefix + ".distinct", compressed.workload.size());
     bench_util::RecordMetric(prefix + ".compression_ratio",
@@ -86,6 +99,8 @@ void RunSizeSweep() {
     bench_util::RecordMetric(prefix + ".sparse_nnz",
                              static_cast<double>(nnz));
     bench_util::RecordMetric(prefix + ".wall_ms", full.wall_ms);
+    bench_util::RecordMetric(prefix + ".session_plans",
+                             static_cast<double>(session_plans));
   }
 }
 

@@ -39,33 +39,16 @@ Status IndexAdvisor::Prepare() {
   // engine costs are pure functions of the fold key, so one representative
   // with the summed weight covers every member exactly (DESIGN.md §15) — the
   // advice, every reported double included, is bit-identical to one model
-  // per original query. A workload with nothing to fold keeps the original
-  // object, so the expansion adds no work and no report difference.
-  eval_workload_ = &workload_;
-  expansion_ = nullptr;
-  double compression_ratio = 1.0;
+  // per original query.
   {
     PARINDA_TRACE_SPAN("advisor.compress");
-    auto compressed =
-        std::make_unique<CompressedWorkload>(
-            CompressWorkload(catalog_, workload_));
-    if (compressed->folded() > 0) {
-      compression_ratio = compressed->ratio();
-      compressed_ = std::move(compressed);
-      eval_workload_ = &compressed_->workload;
-      expansion_ = &compressed_->expansion;
-      ctx_.expansion = expansion_;
-    }
+    fold_ = CompressWorkload(catalog_, workload_);
   }
-  // Gauges are integral; the ratio is stored in centi-units (100 = 1.0x).
-  metrics::Registry::Global()
-      .gauge("advisor.compression_ratio")
-      .Set(static_cast<int64_t>(compression_ratio * 100.0));
   CandidateOptions cand_options = options_.candidates;
   cand_options.deadline = options_.deadline;
   PARINDA_ASSIGN_OR_RETURN(
       std::vector<WhatIfIndexDef> defs,
-      GenerateCandidateIndexes(catalog_, *eval_workload_, cand_options));
+      GenerateCandidateIndexes(catalog_, fold_.workload, cand_options));
   // Enumeration truncates (returns a smaller pool) rather than erroring.
   if (options_.deadline.Expired()) prep_complete_ = false;
   candidate_set_ = std::make_unique<WhatIfIndexSet>(catalog_);
@@ -79,9 +62,9 @@ Status IndexAdvisor::Prepare() {
     candidates_.push_back(candidate_set_->Get(id));
   }
 
-  const int nq = eval_workload_->size();
+  const int nq = fold_.workload.size();
   const int nc = static_cast<int>(candidates_.size());
-  bank_ = std::make_unique<InumBank>(catalog_, *eval_workload_);
+  bank_ = std::make_unique<InumBank>(catalog_, fold_);
   // Pre-sized per-query slots: each worker builds and owns query q's cost
   // model (the bank's slot-disjoint contract) and writes only base_cost_[q]
   // / benefit_ row q, so the matrix is bit-identical under any parallelism
@@ -103,7 +86,7 @@ Status IndexAdvisor::Prepare() {
         PARINDA_ASSIGN_OR_RETURN(base_cost_[q], model->EstimateCost({}));
         // Tables of this query, to skip irrelevant candidates fast.
         std::set<TableId> tables;
-        for (const TableRef& ref : eval_workload_->queries[q].stmt.from) {
+        for (const TableRef& ref : fold_.workload.queries[q].stmt.from) {
           tables.insert(ref.bound_table);
         }
         for (int j = 0; j < nc; ++j) {
@@ -249,7 +232,7 @@ Result<IndexAdvice> IndexAdvisor::FinishAdvice(
   PhaseTimer timer(&report, "finish", "advisor.finish");
   IndexAdvice advice;
   advice.proved_optimal = proved_optimal;
-  const int n_eval = eval_workload_->size();
+  const int n_eval = fold_.workload.size();
   const int nq = OriginalSize();
   // Pass 1 over the eval workload: one model call per fold class (plus the
   // leave-one-out pass for used_by) — this is where compression pays.
@@ -384,7 +367,7 @@ Result<IndexAdvice> IndexAdvisor::SuggestWithIlp() {
     return FinishAdviceFromMatrix(selected, selected_benefit,
                                   /*proved_optimal=*/false, std::move(report));
   }
-  const int nq = eval_workload_->size();
+  const int nq = fold_.workload.size();
   const int nc = static_cast<int>(candidates_.size());
 
   // Variables: x_j (build index j) for j in [0, nc); then y_{q,j} for every
@@ -403,7 +386,7 @@ Result<IndexAdvice> IndexAdvisor::SuggestWithIlp() {
   std::vector<PairVar> pairs;
   std::map<std::pair<int, int>, int> pair_var;  // (eval q, j) -> var
   for (int q = 0; q < nq; ++q) {
-    const double w_q = eval_workload_->queries[static_cast<size_t>(q)].weight;
+    const double w_q = fold_.workload.queries[static_cast<size_t>(q)].weight;
     benefit_.ForEachInRow(q, [&](int j, double gain) {
       const double weighted = gain * w_q;
       if (weighted <= kBenefitEps) return;
@@ -519,7 +502,7 @@ Result<IndexAdvice> IndexAdvisor::SuggestWithGreedy() {
     return FinishAdviceFromMatrix(selected, selected_benefit,
                                   /*proved_optimal=*/false, std::move(report));
   }
-  const int n_eval = eval_workload_->size();
+  const int n_eval = fold_.workload.size();
   const int nq = OriginalSize();
   const int nc = static_cast<int>(candidates_.size());
   std::vector<const IndexInfo*> selected;

@@ -146,21 +146,15 @@ class IndexAdvisor {
   void SelectStaticGreedy(std::vector<const IndexInfo*>* selected,
                           std::vector<double>* selected_benefit) const;
 
-  /// Eval-workload index of original query `orig` (identity without
-  /// compression).
+  /// Fold class of original query `orig`.
   int RepOf(int orig) const {
-    return expansion_ != nullptr ? expansion_->representative[orig] : orig;
+    return fold_.expansion.representative[static_cast<size_t>(orig)];
   }
   /// Weight of original query `orig`.
   double WeightOf(int orig) const {
-    return expansion_ != nullptr
-               ? expansion_->weights[static_cast<size_t>(orig)]
-               : workload_.queries[static_cast<size_t>(orig)].weight;
+    return fold_.expansion.weights[static_cast<size_t>(orig)];
   }
-  int OriginalSize() const {
-    return expansion_ != nullptr ? expansion_->original_size()
-                                 : workload_.size();
-  }
+  int OriginalSize() const { return fold_.original_size; }
 
   const CatalogReader& catalog_;
   const Workload& workload_;
@@ -172,22 +166,17 @@ class IndexAdvisor {
   /// False when the budget truncated candidate enumeration or the matrix
   /// fill; `row_complete_` says which query rows are trustworthy.
   bool prep_complete_ = true;
-  /// The folded workload view (set when compression folded at least one
-  /// query; the advisor then models `compressed_->workload` and expands
-  /// reports back over `workload_` via `expansion_`).
-  std::unique_ptr<CompressedWorkload> compressed_;
-  /// The workload the models/matrix are built over: `workload_`, or the
-  /// compressed view when folding happened.
-  const Workload* eval_workload_ = nullptr;
-  const WorkloadExpansion* expansion_ = nullptr;
+  /// The fold of `workload_`, taken in Prepare(): the models and the matrix
+  /// are built per fold class, and reports expand back over `workload_`.
+  CompressedWorkload fold_;
   std::unique_ptr<WhatIfIndexSet> candidate_set_;
   std::vector<const IndexInfo*> candidates_;
-  /// Engine-owned per-query INUM models (slot-disjoint for ParallelFor);
-  /// built in Prepare() once the eval workload is decided.
+  /// Engine-owned per-class INUM models (slot-disjoint for ParallelFor);
+  /// built in Prepare() over `fold_`.
   std::unique_ptr<InumBank> bank_;
-  std::vector<double> base_cost_;  // per eval-workload query
+  std::vector<double> base_cost_;  // per fold class
   /// benefit_.Get(q, j): unweighted stand-alone gain of candidate j for
-  /// eval-workload query q (consumers multiply by query weight at use).
+  /// fold class q (consumers multiply by query weight at use).
   BenefitMatrix benefit_;
   /// row_complete_[q]: query q's model, base cost and benefit row were
   /// fully computed before the budget ran out (char, not bool: each worker

@@ -6,7 +6,6 @@
 #include <set>
 
 #include "common/failpoint.h"
-#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "optimizer/query_analysis.h"
@@ -23,24 +22,6 @@ std::vector<ColumnId> UnionColumns(const std::vector<ColumnId>& a,
   std::set<ColumnId> merged(a.begin(), a.end());
   merged.insert(b.begin(), b.end());
   return {merged.begin(), merged.end()};
-}
-
-/// Folds duplicate queries (same normalized text, same stats scope) into one
-/// representative each (DESIGN.md §15); nullptr when nothing folds (the
-/// advisor then evaluates the original workload). Never changes the advice:
-/// totals and per-query outputs are expanded back over the original queries
-/// in their original order, so every floating-point add sequence matches a
-/// one-evaluation-per-query run.
-std::unique_ptr<CompressedWorkload> MaybeCompress(const CatalogReader& catalog,
-                                                  const Workload& workload) {
-  PARINDA_TRACE_SPAN("autopart.compress");
-  CompressedWorkload compressed = CompressWorkload(catalog, workload);
-  if (compressed.folded() == 0) return nullptr;
-  // Gauges are integral; the ratio is stored in centi-units (100 = 1.0x).
-  metrics::Registry::Global()
-      .gauge("advisor.compression_ratio")
-      .Set(static_cast<int64_t>(compressed.ratio() * 100.0));
-  return std::make_unique<CompressedWorkload>(std::move(compressed));
 }
 
 double ColumnBytes(const TableInfo& table, ColumnId col) {
@@ -62,13 +43,16 @@ AutoPartAdvisor::AutoPartAdvisor(const CatalogReader& catalog,
     : catalog_(catalog),
       workload_(workload),
       options_(options),
-      compressed_(MaybeCompress(catalog, workload)),
-      eval_workload_(compressed_ != nullptr ? &compressed_->workload
-                                            : &workload_),
-      expansion_(compressed_ != nullptr ? &compressed_->expansion : nullptr),
+      // Folds duplicate queries (same normalized text, same stats scope)
+      // into one class each (DESIGN.md §15). Never changes the advice: the
+      // engine expands totals and per-query outputs back over the original
+      // queries in their original order.
+      fold_([&] {
+        PARINDA_TRACE_SPAN("autopart.compress");
+        return CompressWorkload(catalog, workload);
+      }()),
       ctx_{options_.params, options_.parallelism, options_.deadline, nullptr},
-      evaluator_(catalog_, *eval_workload_) {
-  ctx_.expansion = expansion_;
+      evaluator_(catalog_, fold_) {
   if (options_.memory_budget_bytes > 0) {
     governor_ = std::make_unique<CacheGovernor>(
         MemoryBudget{options_.memory_budget_bytes});
@@ -91,25 +75,20 @@ Result<std::vector<FragmentDef>> AutoPartAdvisor::AtomicFragments(
   for (ColumnId c = 0; c < info->schema.num_columns(); ++c) {
     signature[c] = {};
   }
-  // One analysis per distinct (eval) query; under compression each fold
-  // class records its ORIGINAL member ids, so the signatures — and with
-  // them the fragment grouping and ordering — are exactly those of the
-  // uncompressed workload.
-  for (int q = 0; q < eval_workload_->size(); ++q) {
+  // One analysis per fold class; each class records its ORIGINAL member
+  // ids, so the signatures — and with them the fragment grouping and
+  // ordering — are exactly those of the unfolded workload.
+  for (int q = 0; q < fold_.workload.size(); ++q) {
     PARINDA_ASSIGN_OR_RETURN(
         AnalyzedQuery analyzed,
-        AnalyzeQuery(catalog_, eval_workload_->queries[q].stmt));
+        AnalyzeQuery(catalog_, fold_.workload.queries[q].stmt));
+    const std::vector<int>& members =
+        fold_.expansion.members[static_cast<size_t>(q)];
     for (size_t r = 0; r < analyzed.tables.size(); ++r) {
       if (analyzed.tables[r]->id != table) continue;
       for (ColumnId c : analyzed.referenced_columns[r]) {
-        if (expansion_ != nullptr) {
-          const std::vector<int>& members =
-              expansion_->members[static_cast<size_t>(q)];
-          signature[c].insert(signature[c].end(), members.begin(),
-                              members.end());
-        } else {
-          signature[c].push_back(q);
-        }
+        signature[c].insert(signature[c].end(), members.begin(),
+                            members.end());
       }
     }
   }
@@ -274,9 +253,9 @@ Result<PartitionAdvice> AutoPartAdvisor::Suggest() {
   for (const TableState& ts : state) {
     composites_of[ts.table] = ts.fragments;  // atomics
   }
-  // Eval-workload iteration visits fold classes in first-occurrence order,
-  // so the (deduplicated) pool sequence matches the uncompressed scan.
-  for (const WorkloadQuery& query : eval_workload_->queries) {
+  // Fold classes come in first-occurrence order, so the (deduplicated) pool
+  // sequence matches the unfolded scan.
+  for (const WorkloadQuery& query : fold_.workload.queries) {
     PARINDA_ASSIGN_OR_RETURN(AnalyzedQuery analyzed,
                              AnalyzeQuery(catalog_, query.stmt));
     for (size_t r = 0; r < analyzed.tables.size(); ++r) {

@@ -130,23 +130,17 @@ class AutoPartAdvisor {
   /// Replicated bytes of a state.
   double ReplicatedBytes(const std::vector<TableState>& state) const;
 
-  /// Compressed (eval) query index of original query `orig`.
+  /// Fold class of original query `orig`.
   int RepOf(int orig) const {
-    return expansion_ != nullptr
-               ? expansion_->representative[static_cast<size_t>(orig)]
-               : orig;
+    return fold_.expansion.representative[static_cast<size_t>(orig)];
   }
 
   const CatalogReader& catalog_;
   const Workload& workload_;
   AutoPartOptions options_;
-  /// Compressed workload view (null when compression is off or folds
-  /// nothing). The evaluator runs over the compressed queries; all advice
-  /// outputs stay in original-query terms via `expansion_`.
-  std::unique_ptr<CompressedWorkload> compressed_;
-  /// The workload the evaluator sees: &compressed_->workload or &workload_.
-  const Workload* eval_workload_ = nullptr;
-  const WorkloadExpansion* expansion_ = nullptr;
+  /// The fold of `workload_`. The evaluator runs over its classes; all
+  /// advice outputs stay in original-query terms.
+  CompressedWorkload fold_;
   /// Derived from options_; threaded through every engine call.
   EvalContext ctx_;
   /// Governs only the evaluator's cost cache (safe under pool parallelism:

@@ -163,21 +163,22 @@ void DesignSession::RebuildQueryStates() {
     governor_->ForgetShard(evaluator_shard_);
     governor_->ForgetShard(bank_shard_);
   }
-  const int nq = workload_ == nullptr ? 0 : workload_->size();
+  fold_ = workload_ == nullptr ? CompressedWorkload{}
+                               : CompressWorkload(catalog_, *workload_);
   if (workload_ != nullptr) {
-    evaluator_ = std::make_unique<WorkloadEvaluator>(catalog_, *workload_);
-    inum_bank_ = std::make_unique<InumBank>(catalog_, *workload_);
+    evaluator_ = std::make_unique<WorkloadEvaluator>(catalog_, fold_);
+    inum_bank_ = std::make_unique<InumBank>(catalog_, fold_);
     if (governor_ != nullptr) {
       evaluator_->set_governor(governor_.get(), evaluator_shard_);
       inum_bank_->set_governor(governor_.get(), bank_shard_);
     }
   }
-  queries_.resize(static_cast<size_t>(nq));
-  for (int q = 0; q < nq; ++q) {
-    QueryState& qs = queries_[static_cast<size_t>(q)];
+  queries_.resize(fold_.workload.queries.size());
+  for (size_t q = 0; q < queries_.size(); ++q) {
+    QueryState& qs = queries_[q];
     // First-reference order (not the evaluator's sorted sets): the INUM
     // configuration below is assembled in this order, as it always was.
-    for (const TableRef& ref : workload_->queries[q].stmt.from) {
+    for (const TableRef& ref : fold_.workload.queries[q].stmt.from) {
       if (ref.bound_table == kInvalidTableId) continue;
       if (std::find(qs.tables.begin(), qs.tables.end(), ref.bound_table) ==
           qs.tables.end()) {
@@ -267,8 +268,9 @@ Result<InteractiveReport> DesignSession::Evaluate() {
       governor_ != nullptr ? governor_->stats().evictions : 0;
   last_eval_inum_recosts_ = 0;
 
-  const int nq = workload_ == nullptr ? 0 : workload_->size();
-  PARINDA_CHECK(static_cast<int>(queries_.size()) == nq);
+  // The base and what-if loops run once per fold class; the report expands
+  // over the original queries below.
+  const int nq = static_cast<int>(queries_.size());
 
   // Budget expiry stops re-costing mid-way: finished queries report fresh
   // costs, the rest keep their previous (possibly zero) values and remain
@@ -349,25 +351,37 @@ Result<InteractiveReport> DesignSession::Evaluate() {
   whatif_timer.Stop();
   if (truncated) degradation.AddFallback("evaluate:truncated");
 
-  // Aggregation replicates the stateless evaluation's summation order
-  // exactly (query order, benefit folded in as computed), so a warmed
-  // session's report is bit-identical to a fresh one's.
+  // Aggregation expands the classes over the ORIGINAL queries in ascending
+  // order, each weighted by its own weight, and replicates the stateless
+  // evaluation's summation order exactly (benefit folded in as computed):
+  // the report is bit-identical to an unfolded one, and a warmed session's
+  // report is bit-identical to a fresh one's (DESIGN.md §15).
+  const WorkloadExpansion& ex = fold_.expansion;
+  const int n = ex.original_size();
   InteractiveReport report;
-  report.per_query_base.assign(static_cast<size_t>(nq), 0.0);
-  report.per_query_optimized.assign(static_cast<size_t>(nq), 0.0);
-  report.per_query_benefit_pct.assign(static_cast<size_t>(nq), 0.0);
-  report.rewritten_sql.assign(static_cast<size_t>(nq), "");
-  for (int q = 0; q < nq; ++q) {
-    const QueryState& qs = queries_[static_cast<size_t>(q)];
-    const double base = qs.has_base ? qs.base_cost : 0.0;
+  report.per_query_base.assign(static_cast<size_t>(n), 0.0);
+  report.per_query_optimized.assign(static_cast<size_t>(n), 0.0);
+  report.per_query_benefit_pct.assign(static_cast<size_t>(n), 0.0);
+  report.rewritten_sql.assign(static_cast<size_t>(n), "");
+  for (int q = 0; q < n; ++q) {
+    const size_t c = static_cast<size_t>(ex.representative[q]);
+    const double base = queries_[c].has_base ? queries_[c].base_cost : 0.0;
     report.per_query_base[static_cast<size_t>(q)] = base;
-    report.base_cost += base * workload_->queries[q].weight;
+    report.base_cost += base * ex.weights[static_cast<size_t>(q)];
   }
-  for (int q = 0; q < nq; ++q) {
-    const QueryState& qs = queries_[static_cast<size_t>(q)];
+  for (int q = 0; q < n; ++q) {
+    const size_t c = static_cast<size_t>(ex.representative[q]);
+    const QueryState& qs = queries_[c];
+    const double weight = ex.weights[static_cast<size_t>(q)];
     report.per_query_optimized[static_cast<size_t>(q)] = qs.whatif_cost;
-    report.optimized_cost += qs.whatif_cost * workload_->queries[q].weight;
-    report.rewritten_sql[static_cast<size_t>(q)] = qs.rewritten_sql;
+    report.optimized_cost += qs.whatif_cost * weight;
+    // An unchanged rewrite is the representative's own text; every member
+    // reports its own text instead (members share normalized SQL, not
+    // necessarily spelling).
+    report.rewritten_sql[static_cast<size_t>(q)] =
+        qs.rewritten_sql == fold_.workload.queries[c].sql
+            ? workload_->queries[static_cast<size_t>(q)].sql
+            : qs.rewritten_sql;
     if (report.per_query_base[static_cast<size_t>(q)] > 0.0) {
       report.per_query_benefit_pct[static_cast<size_t>(q)] =
           100.0 *
@@ -378,7 +392,7 @@ Result<InteractiveReport> DesignSession::Evaluate() {
     report.average_benefit_pct +=
         report.per_query_benefit_pct[static_cast<size_t>(q)];
   }
-  if (nq > 0) report.average_benefit_pct /= nq;
+  if (n > 0) report.average_benefit_pct /= n;
 
   // Eviction during this evaluation means the budget forced re-planning
   // somewhere: costs are still exact, but the run degraded to more planner
@@ -458,7 +472,9 @@ std::vector<DesignSession::ComponentEntry> DesignSession::Components() const {
 int DesignSession::pending_queries() const {
   int pending = 0;
   for (size_t q = 0; q < queries_.size(); ++q) {
-    if (Pending(static_cast<int>(q))) ++pending;
+    if (Pending(static_cast<int>(q))) {
+      pending += static_cast<int>(fold_.expansion.members[q].size());
+    }
   }
   return pending;
 }

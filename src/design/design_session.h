@@ -14,6 +14,7 @@
 #include "engine/cache_spill.h"
 #include "engine/inum_bank.h"
 #include "engine/workload_evaluator.h"
+#include "workload/compress.h"
 #include "workload/workload.h"
 
 namespace parinda {
@@ -69,13 +70,16 @@ struct DesignSessionOptions {
 ///
 /// The session holds a set of OverlayComponents and a workload, and costs
 /// queries through the shared evaluation engine (WorkloadEvaluator,
-/// DESIGN.md §13): each query's cached cost is keyed on the signatures of the
-/// overlay units touching its tables, so an Add* or Drop delta leaves the
-/// keys — and the cached costs — of untouched queries intact (join flags are
-/// global). Evaluate() after a single-table delta re-plans |queries
-/// referencing that table| queries, not the whole workload; dropping back to
-/// a previously evaluated design re-plans nothing at all, because the old
-/// keys hit the engine cache.
+/// DESIGN.md §13). It folds the workload once (workload/compress.h,
+/// DESIGN.md §15) and keeps its state per fold class: duplicate queries are
+/// planned once, and every report is expanded back over the original
+/// queries in their original order. Each class's cached cost is keyed on the
+/// signatures of the overlay units touching its tables, so an Add* or Drop
+/// delta leaves the keys — and the cached costs — of untouched classes
+/// intact (join flags are global). Evaluate() after a single-table delta
+/// re-plans the classes referencing that table, not the whole workload;
+/// dropping back to a previously evaluated design re-plans nothing at all,
+/// because the old keys hit the engine cache.
 ///
 /// Determinism guarantee: Evaluate() returns a report bit-identical to a
 /// fresh stateless evaluation of the same component set, for *any*
@@ -117,7 +121,8 @@ class DesignSession {
   /// Drops every feature.
   void ClearDesign();
 
-  /// Replaces the workload; all cached per-query state is discarded.
+  /// Replaces (and re-folds) the workload; all cached per-query state is
+  /// discarded.
   void SetWorkload(const Workload* workload);
 
   /// Re-arms the evaluation budget (deadlines are absolute instants, so a
@@ -125,8 +130,8 @@ class DesignSession {
   void set_deadline(const Deadline& deadline) { options_.deadline = deadline; }
 
   /// Evaluates the current design over the workload, re-planning only
-  /// invalidated queries. The first call on a fresh session plans everything
-  /// (it *is* the stateless evaluation).
+  /// invalidated fold classes. The first call on a fresh session plans every
+  /// class once (it *is* the stateless evaluation).
   [[nodiscard]] Result<InteractiveReport> Evaluate();
 
   // --- Durable cache spill (DESIGN.md §14) ---
@@ -156,7 +161,8 @@ class DesignSession {
   /// inspection; never null).
   const ComposedOverlay& overlay() const { return *overlay_; }
 
-  /// Queries whose what-if cost the next Evaluate() must recompute.
+  /// Queries whose what-if cost the next Evaluate() must recompute (every
+  /// member of a pending fold class counts).
   int pending_queries() const;
   /// PlanQuery invocations during the last Evaluate() (includes INUM's
   /// internal cache-fill calls).
@@ -203,16 +209,17 @@ class DesignSession {
   /// makes cached costs reusable across rebuilds.
   [[nodiscard]] Status Recompose();
   void RebuildQueryStates();
-  /// Engine cache key of query `q` under the current design (and the
+  /// Engine cache key of fold class `q` under the current design (and the
   /// non-index restriction of it). Requires a workload.
   std::string CurrentKey(int q) const;
   std::string CurrentNonIndexKey(int q) const;
-  /// Whether each query's next Evaluate() must re-cost it; compared across a
-  /// delta to count valid->pending transitions (`design.invalidations`).
+  /// Whether the next Evaluate() must re-cost fold class `q`; compared
+  /// across a delta to count valid->pending transitions
+  /// (`design.invalidations`, one per class).
   bool Pending(int q) const;
   std::vector<char> PendingSnapshot() const;
   void CountInvalidations(const std::vector<char>& was_pending);
-  /// True when query `q` may be re-costed via INUM (index-only delta, no
+  /// True when fold class `q` may be re-costed via INUM (index-only delta, no
   /// table/range component on any of its tables).
   bool InumEligible(int q, const QueryState& qs) const;
   [[nodiscard]] Result<double> InumRecost(int q, const QueryState& qs);
@@ -231,10 +238,12 @@ class DesignSession {
   /// excludes index components.
   std::vector<OverlayUnit> units_;
   std::vector<OverlayUnit> nonindex_units_;
-  /// Shared evaluation engine over (catalog_, *workload_); null without a
+  /// The fold of *workload_ (empty without one), rebuilt by SetWorkload.
+  CompressedWorkload fold_;
+  /// Shared evaluation engine over (catalog_, fold_); null without a
   /// workload, rebuilt by SetWorkload.
   std::unique_ptr<WorkloadEvaluator> evaluator_;
-  /// Per-query INUM models for the incremental index-delta path; the bank
+  /// Per-class INUM models for the incremental index-delta path; the bank
   /// rebuilds a model when the composed params change (join-flag deltas).
   std::unique_ptr<InumBank> inum_bank_;
   /// LRU governor over both caches when the options set a byte budget. The
@@ -243,6 +252,7 @@ class DesignSession {
   std::unique_ptr<CacheGovernor> governor_;
   int evaluator_shard_ = 0;
   int bank_shard_ = 0;
+  /// One state per fold class.
   std::vector<QueryState> queries_;
   int64_t last_eval_planner_calls_ = 0;
   int last_eval_inum_recosts_ = 0;

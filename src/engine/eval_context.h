@@ -22,21 +22,12 @@ namespace parinda {
 /// CacheGovernor (DESIGN.md §14) attaches to the caches it governs via
 /// `set_governor`, because budget state is owned by whoever owns the caches
 /// (the session or advisor), not by each evaluation call.
-struct WorkloadExpansion;
-
 struct EvalContext {
   CostParams params;
   /// Worker threads for candidate evaluation; 0 = one per core, 1 = serial.
   int parallelism = 0;
   Deadline deadline;
   const CancellationToken* cancellation = nullptr;
-  /// When the evaluated workload is a compressed view (workload/compress.h),
-  /// the mapping back to the original queries. Evaluators that report
-  /// workload totals accumulate them over the ORIGINAL queries in ascending
-  /// order (each using its representative's unweighted cost), reproducing the
-  /// uncompressed floating-point addition sequence bit for bit. nullptr =
-  /// the workload is the original.
-  const WorkloadExpansion* expansion = nullptr;
 };
 
 /// Budget expiry and cancellation degrade gracefully (anytime contract);

@@ -4,8 +4,8 @@
 
 namespace parinda {
 
-InumBank::InumBank(const CatalogReader& catalog, const Workload& workload)
-    : catalog_(catalog), workload_(workload) {
+InumBank::InumBank(const CatalogReader& catalog, const CompressedWorkload& fold)
+    : catalog_(catalog), workload_(fold.workload) {
   slots_.resize(workload_.queries.size());
 }
 

@@ -12,23 +12,24 @@
 #include "engine/cache_governor.h"
 #include "inum/inum.h"
 #include "optimizer/cost_params.h"
-#include "workload/workload.h"
+#include "workload/compress.h"
 
 namespace parinda {
 
-/// Engine-owned bank of per-query INUM cost models: one lazily built
-/// `InumCostModel` slot per workload query, rebuilt when the cost parameters
-/// change (the params-epoch bookkeeping formerly private to DesignSession).
-/// The index advisor's benefit matrix and the design session's index-only
-/// recosting share this one mechanism.
+/// Engine-owned bank of per-class INUM cost models: one lazily built
+/// `InumCostModel` slot per fold class (workload/compress.h), rebuilt when
+/// the cost parameters change (the params-epoch bookkeeping formerly private
+/// to DesignSession). The index advisor's benefit matrix and the design
+/// session's index-only recosting share this one mechanism. Query index `q`
+/// below names a fold class.
 ///
 /// Thread-compatibility: slots are disjoint. Concurrent `Model()` calls are
 /// safe iff they target distinct `q` (the advisor's ParallelFor contract);
 /// the aggregate accessors must only run after workers have joined.
 class InumBank {
  public:
-  /// `catalog` and `workload` must outlive the bank.
-  InumBank(const CatalogReader& catalog, const Workload& workload);
+  /// `catalog` and `fold` must outlive the bank.
+  InumBank(const CatalogReader& catalog, const CompressedWorkload& fold);
 
   InumBank(const InumBank&) = delete;
   InumBank& operator=(const InumBank&) = delete;
@@ -57,7 +58,7 @@ class InumBank {
   // governor's MRU pin guarantees the slot just handed out by Model() is
   // never the one evicted.
 
-  /// Registers this bank as governor shard `shard`; ids are the query index
+  /// Registers this bank as governor shard `shard`; ids are the class index
   /// in decimal. Pass nullptr to detach.
   void set_governor(CacheGovernor* governor, int shard);
 
@@ -74,6 +75,7 @@ class InumBank {
   };
 
   const CatalogReader& catalog_;
+  /// The fold's representatives, one per slot.
   const Workload& workload_;
   std::vector<Slot> slots_;
   CacheGovernor* governor_ = nullptr;

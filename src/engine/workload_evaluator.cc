@@ -12,7 +12,6 @@
 #include "optimizer/planner.h"
 #include "rewriter/rewriter.h"
 #include "whatif/whatif_table.h"
-#include "workload/compress.h"
 
 namespace parinda {
 
@@ -110,13 +109,14 @@ std::string ParamsSignature(const CostParams& params) {
 }
 
 WorkloadEvaluator::WorkloadEvaluator(const CatalogReader& catalog,
-                                     const Workload& workload)
-    : catalog_(catalog), workload_(workload) {
-  query_tables_.resize(workload_.queries.size());
-  base_.assign(workload_.queries.size(), {std::string(), 0.0});
-  for (size_t q = 0; q < workload_.queries.size(); ++q) {
+                                     const CompressedWorkload& fold)
+    : catalog_(catalog), fold_(fold) {
+  const size_t classes = fold_.workload.queries.size();
+  query_tables_.resize(classes);
+  base_.assign(classes, {std::string(), 0.0});
+  for (size_t q = 0; q < classes; ++q) {
     std::vector<TableId>& tables = query_tables_[q];
-    for (const TableRef& ref : workload_.queries[q].stmt.from) {
+    for (const TableRef& ref : fold_.workload.queries[q].stmt.from) {
       tables.push_back(ref.bound_table);
     }
     std::sort(tables.begin(), tables.end());
@@ -142,7 +142,8 @@ bool WorkloadEvaluator::Touches(const std::vector<TableId>& query_tables,
 std::string WorkloadEvaluator::KeyFor(int q,
                                       const std::vector<OverlayUnit>& units,
                                       const CostParams& params) const {
-  std::string key = "q" + std::to_string(q) + '|' + ParamsSignature(params);
+  std::string key =
+      "q" + std::to_string(FirstOf(q)) + '|' + ParamsSignature(params);
   const std::vector<TableId>& tables = QueryTables(q);
   for (const OverlayUnit& unit : units) {
     if (!Touches(tables, unit.tables)) continue;
@@ -178,7 +179,7 @@ Result<double> WorkloadEvaluator::BaseCost(int q, const EvalContext& ctx) {
     // Counter bump (and governor Touch) intentionally outside the lock.
     CacheHitsCounter().Increment();
     if (governor_ != nullptr) {
-      const std::string base_key = "base:" + std::to_string(q) + '|' + sig;
+      const std::string base_key = BaseKey(q, sig);
       PARINDA_RETURN_IF_ERROR(
           governor_->Touch(governor_shard_, base_key, EntryBytes(base_key, "")));
     }
@@ -188,7 +189,7 @@ Result<double> WorkloadEvaluator::BaseCost(int q, const EvalContext& ctx) {
   planner_options.params = ctx.params;
   PARINDA_ASSIGN_OR_RETURN(
       Plan plan,
-      PlanQuery(catalog_, workload_.queries[static_cast<size_t>(q)].stmt,
+      PlanQuery(catalog_, fold_.workload.queries[static_cast<size_t>(q)].stmt,
                 planner_options));
   cost = plan.total_cost();
   {
@@ -198,7 +199,7 @@ Result<double> WorkloadEvaluator::BaseCost(int q, const EvalContext& ctx) {
   }
   CacheMissesCounter().Increment();
   if (governor_ != nullptr) {
-    const std::string base_key = "base:" + std::to_string(q) + '|' + sig;
+    const std::string base_key = BaseKey(q, sig);
     PARINDA_RETURN_IF_ERROR(
         governor_->Touch(governor_shard_, base_key, EntryBytes(base_key, "")));
   }
@@ -207,7 +208,7 @@ Result<double> WorkloadEvaluator::BaseCost(int q, const EvalContext& ctx) {
 
 Result<WorkloadEvaluator::QueryEval> WorkloadEvaluator::EvaluateQuery(
     int q, const OverlayView& view, const std::string& key) {
-  const WorkloadQuery& query = workload_.queries[static_cast<size_t>(q)];
+  const WorkloadQuery& query = fold_.workload.queries[static_cast<size_t>(q)];
   if (!key.empty()) {
     bool hit = false;
     int64_t bytes = 0;
@@ -263,7 +264,7 @@ Result<WorkloadEvaluator::QueryEval> WorkloadEvaluator::EvaluateQuery(
 std::string WorkloadEvaluator::PlanKeyFor(int q, const std::string& params_sig,
                                           const CatalogReader& overlay,
                                           const SelectStatement& stmt) const {
-  std::string key = "plan:" + std::to_string(q) + '|' + params_sig;
+  std::string key = "plan:" + std::to_string(FirstOf(q)) + '|' + params_sig;
   for (const TableRef& ref : stmt.from) {
     key += '|';
     const TableInfo* info = overlay.GetTable(ref.bound_table);
@@ -342,23 +343,24 @@ Result<double> WorkloadEvaluator::EvaluatePartitioning(
   };
   PlannerOptions planner_options;
   planner_options.params = ctx.params;
-  // Per-eval-query costs are collected first and accumulated afterwards, so
-  // a compression expansion can replay them in original-query order.
-  std::vector<double> eval_cost(workload_.queries.size(), 0.0);
+  // Per-class costs are collected first and accumulated afterwards, so the
+  // expansion can replay them in original-query order.
+  const std::vector<WorkloadQuery>& classes = fold_.workload.queries;
+  std::vector<double> eval_cost(classes.size(), 0.0);
   std::vector<std::string> eval_sql;
-  if (rewritten_sql != nullptr) eval_sql.assign(workload_.queries.size(), "");
-  for (int q = 0; q < workload_.size(); ++q) {
+  if (rewritten_sql != nullptr) eval_sql.assign(classes.size(), "");
+  for (int q = 0; q < static_cast<int>(classes.size()); ++q) {
     PARINDA_RETURN_IF_ERROR(ctx.deadline.CheckOk("engine.evaluate"));
     if (ctx.cancellation != nullptr) {
       PARINDA_RETURN_IF_ERROR(ctx.cancellation->CheckOk("engine.evaluate"));
     }
-    const WorkloadQuery& query = workload_.queries[static_cast<size_t>(q)];
-    // Level 1: the design restricted to the tables this query reads. A
+    const WorkloadQuery& query = classes[static_cast<size_t>(q)];
+    // Level 1: the design restricted to the tables this class reads. A
     // candidate move on other tables leaves this key unchanged — the
     // table-dependency invalidation rule.
     std::string key;
     if (cacheable) {
-      key = "q" + std::to_string(q) + '|' + params_sig;
+      key = "q" + std::to_string(FirstOf(q)) + '|' + params_sig;
       for (size_t i = 0; i < design.size(); ++i) {
         if (!std::binary_search(query_tables_[static_cast<size_t>(q)].begin(),
                                 query_tables_[static_cast<size_t>(q)].end(),
@@ -446,28 +448,18 @@ Result<double> WorkloadEvaluator::EvaluatePartitioning(
     }
   }
   // Totals and per-query outputs are accumulated in ORIGINAL query order:
-  // under a compression expansion each original query contributes its
-  // representative's cost times its own weight, which is the exact
-  // floating-point add sequence of the uncompressed evaluation — compressed
-  // advice is bit-identical by construction (DESIGN.md §15). Without an
-  // expansion this replays the evaluation loop's own order and weights.
+  // each original query contributes its class's cost times its own weight,
+  // which is the exact floating-point add sequence of an unfolded
+  // evaluation — folded advice is bit-identical by construction (DESIGN.md
+  // §15).
+  const WorkloadExpansion& ex = fold_.expansion;
   double total = 0.0;
-  if (ctx.expansion != nullptr) {
-    const WorkloadExpansion& ex = *ctx.expansion;
-    for (int o = 0; o < ex.original_size(); ++o) {
-      const size_t rep =
-          static_cast<size_t>(ex.representative[static_cast<size_t>(o)]);
-      total += eval_cost[rep] * ex.weights[static_cast<size_t>(o)];
-      if (per_query != nullptr) (*per_query)[o] = eval_cost[rep];
-      if (rewritten_sql != nullptr) (*rewritten_sql)[o] = eval_sql[rep];
-    }
-  } else {
-    for (int q = 0; q < workload_.size(); ++q) {
-      const size_t i = static_cast<size_t>(q);
-      total += eval_cost[i] * workload_.queries[i].weight;
-      if (per_query != nullptr) (*per_query)[q] = eval_cost[i];
-      if (rewritten_sql != nullptr) (*rewritten_sql)[q] = eval_sql[i];
-    }
+  for (int o = 0; o < ex.original_size(); ++o) {
+    const size_t c =
+        static_cast<size_t>(ex.representative[static_cast<size_t>(o)]);
+    total += eval_cost[c] * ex.weights[static_cast<size_t>(o)];
+    if (per_query != nullptr) (*per_query)[o] = eval_cost[c];
+    if (rewritten_sql != nullptr) (*rewritten_sql)[o] = eval_sql[c];
   }
   return total;
 }
@@ -498,7 +490,7 @@ std::vector<CostCacheRecord> WorkloadEvaluator::ExportCacheRecords() const {
     for (size_t q = 0; q < base_.size(); ++q) {
       if (base_[q].first.empty()) continue;
       CostCacheRecord record;
-      record.key = "base:" + std::to_string(q) + '|' + base_[q].first;
+      record.key = BaseKey(static_cast<int>(q), base_[q].first);
       record.cost = base_[q].second;
       records.push_back(std::move(record));
     }
@@ -510,16 +502,27 @@ std::vector<CostCacheRecord> WorkloadEvaluator::ExportCacheRecords() const {
   return records;
 }
 
+std::string WorkloadEvaluator::BaseKey(int q, const std::string& sig) const {
+  return "base:" + std::to_string(FirstOf(q)) + '|' + sig;
+}
+
+int WorkloadEvaluator::ClassOfFirst(int first) const {
+  // A query outside this workload means the spill scope check was loose (it
+  // matches on text, not count); a later member of a class is never a key.
+  if (first >= fold_.expansion.original_size()) return -1;
+  const int q = fold_.expansion.representative[static_cast<size_t>(first)];
+  return FirstOf(q) == first ? q : -1;
+}
+
 Status WorkloadEvaluator::ImportCacheRecord(const CostCacheRecord& record) {
-  int q = 0;
+  int first = 0;
   std::string_view sig;
   int64_t bytes = 0;
-  if (ParseBaseKey(record.key, &q, &sig)) {
+  if (ParseBaseKey(record.key, &first, &sig)) {
+    const int q = ClassOfFirst(first);
+    if (q < 0) return Status::OK();
     {
       MutexLock lock(mu_);
-      // A base key outside this workload means the spill scope check was
-      // loose (it matches on text, not count) — ignore, don't grow.
-      if (static_cast<size_t>(q) >= base_.size()) return Status::OK();
       base_[static_cast<size_t>(q)] = {std::string(sig), record.cost};
     }
     bytes = EntryBytes(record.key, "");
@@ -540,16 +543,17 @@ Status WorkloadEvaluator::ImportCacheRecord(const CostCacheRecord& record) {
 }
 
 void WorkloadEvaluator::EraseCacheEntry(const std::string& key) {
-  int q = 0;
+  int first = 0;
   std::string_view sig;
-  MutexLock lock(mu_);
-  if (ParseBaseKey(key, &q, &sig)) {
-    if (static_cast<size_t>(q) < base_.size() &&
-        base_[static_cast<size_t>(q)].first == sig) {
+  if (ParseBaseKey(key, &first, &sig)) {
+    const int q = ClassOfFirst(first);
+    MutexLock lock(mu_);
+    if (q >= 0 && base_[static_cast<size_t>(q)].first == sig) {
       base_[static_cast<size_t>(q)] = {std::string(), 0.0};
     }
     return;
   }
+  MutexLock lock(mu_);
   cache_.erase(key);
 }
 

@@ -15,7 +15,7 @@
 #include "engine/eval_context.h"
 #include "optimizer/cost_params.h"
 #include "optimizer/hooks.h"
-#include "workload/workload.h"
+#include "workload/compress.h"
 
 namespace parinda {
 
@@ -74,20 +74,28 @@ struct EvaluatorStats {
 /// keyed on an exact signature of everything the cost depends on, so a hit
 /// returns the bit-identical double the planner produced on the miss.
 ///
+/// The evaluator works over a fold (workload/compress.h, DESIGN.md §15):
+/// every query index `q` below names a fold class, costed once through its
+/// representative. Cache and spill keys name a class by its first original
+/// query (`q<first>`, `base:<first>`, `plan:<first>`), so an identity fold
+/// keys exactly as the original workload would.
+///
 /// Thread-safety: the cache and counters are mutex-guarded; concurrent
 /// EvaluatePartitioning calls (AutoPart's parallel candidate evaluation) are
 /// safe. Which racing worker inserts first is timing-dependent, but both
 /// compute identical values, so results stay deterministic.
 class WorkloadEvaluator {
  public:
-  /// `catalog` and `workload` must outlive the evaluator.
-  WorkloadEvaluator(const CatalogReader& catalog, const Workload& workload);
+  /// `catalog` and `fold` must outlive the evaluator.
+  WorkloadEvaluator(const CatalogReader& catalog,
+                    const CompressedWorkload& fold);
 
   WorkloadEvaluator(const WorkloadEvaluator&) = delete;
   WorkloadEvaluator& operator=(const WorkloadEvaluator&) = delete;
 
-  /// Base tables query `q` reads (sorted, deduplicated) — the dependency
-  /// set that decides which overlay units participate in its cache key.
+  /// Base tables fold class `q` reads (sorted, deduplicated) — the
+  /// dependency set that decides which overlay units participate in its
+  /// cache key.
   const std::vector<TableId>& QueryTables(int q) const;
 
   /// True when a unit touching `touched` can affect a query reading
@@ -139,16 +147,14 @@ class WorkloadEvaluator {
   // -- whole-workload partitioning evaluation (AutoPart's path) --------
 
   /// Weighted workload cost under `design`. A candidate move touches one
-  /// table, so queries not reading it are served from the cache; costs are
-  /// accumulated in query order, so the total is bit-identical to a full
-  /// re-plan. When `ctx.expansion` is set (the evaluator's workload is a
-  /// compressed view), the total and the output arrays are expanded over
-  /// the ORIGINAL queries — each contributes its representative's cost
-  /// times its own weight, reproducing the uncompressed add sequence
-  /// exactly (DESIGN.md §15). Checks `ctx.deadline` before each query
-  /// (budget expiry surfaces as kDeadlineExceeded, the anytime contract).
-  /// `per_query` / `rewritten_sql`, when given, must be pre-sized to the
-  /// original workload (== this workload when no expansion is set).
+  /// table, so fold classes not reading it are served from the cache. The
+  /// total and the output arrays are expanded over the ORIGINAL queries in
+  /// ascending order — each contributes its class's cost times its own
+  /// weight, reproducing the unfolded add sequence exactly (DESIGN.md §15).
+  /// Checks `ctx.deadline` before each class (budget expiry surfaces as
+  /// kDeadlineExceeded, the anytime contract). `per_query` /
+  /// `rewritten_sql`, when given, must be pre-sized to the original
+  /// workload.
   [[nodiscard]] Result<double> EvaluatePartitioning(
       const std::vector<PartitionedTable>& design, const EvalContext& ctx,
       const PartitionEvalOptions& opts, std::vector<double>* per_query,
@@ -167,13 +173,14 @@ class WorkloadEvaluator {
 
   /// Every cached cost as a spillable record, sorted by key (deterministic
   /// spill files): the overlay-keyed entries verbatim, plus base-design
-  /// costs under synthetic `base:<q>|<params sig>` keys.
+  /// costs under synthetic `base:<first>|<params sig>` keys.
   std::vector<CostCacheRecord> ExportCacheRecords() const;
 
   /// Installs one spilled record (the inverse of ExportCacheRecords).
-  /// Records that no longer apply — a base key outside the workload — are
-  /// ignored. Imports count as neither hits nor misses; the governor (if
-  /// any) is notified, so an import can itself trigger eviction.
+  /// Records that no longer apply — a base key outside the workload or not
+  /// naming the first query of its class — are ignored. Imports count as
+  /// neither hits nor misses; the governor (if any) is notified, so an
+  /// import can itself trigger eviction.
   [[nodiscard]] Status ImportCacheRecord(const CostCacheRecord& record);
 
   /// Drops one entry by its export key (the governor's eviction callback).
@@ -196,15 +203,24 @@ class WorkloadEvaluator {
   std::string PlanKeyFor(int q, const std::string& params_sig,
                          const CatalogReader& overlay,
                          const SelectStatement& stmt) const;
+  /// The first original query of fold class `q`: the class's name in keys.
+  int FirstOf(int q) const {
+    return fold_.expansion.members[static_cast<size_t>(q)].front();
+  }
+  /// `base:<first>|<sig>`, the export key of class `q`'s base cost.
+  std::string BaseKey(int q, const std::string& sig) const;
+  /// The fold class whose first original query is `first`, or -1 when
+  /// `first` is outside the workload or not the first query of its class.
+  int ClassOfFirst(int first) const;
 
   const CatalogReader& catalog_;
-  const Workload& workload_;
-  /// Per-query sorted base-table dependency sets, fixed at construction.
+  const CompressedWorkload& fold_;
+  /// Per-class sorted base-table dependency sets, fixed at construction.
   std::vector<std::vector<TableId>> query_tables_;
 
   mutable Mutex mu_;
   std::unordered_map<std::string, CacheEntry> cache_ PARINDA_GUARDED_BY(mu_);
-  /// Per-query (params signature, cost) of the base design.
+  /// Per-class (params signature, cost) of the base design.
   std::vector<std::pair<std::string, double>> base_ PARINDA_GUARDED_BY(mu_);
   EvaluatorStats stats_ PARINDA_GUARDED_BY(mu_);
   /// Optional byte-budget governor; Touch calls happen *outside* mu_ (lock

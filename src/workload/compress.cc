@@ -4,6 +4,7 @@
 #include <set>
 
 #include "catalog/catalog.h"
+#include "common/metrics.h"
 #include "common/strings.h"
 
 namespace parinda {
@@ -109,6 +110,10 @@ CompressedWorkload CompressWorkload(const CatalogReader& catalog,
     out.expansion.representative.push_back(it->second);
     out.expansion.weights.push_back(query.weight);
   }
+  // Gauges are integral; the ratio is stored in centi-units (100 = 1.0x).
+  metrics::Registry::Global()
+      .gauge("advisor.compression_ratio")
+      .Set(static_cast<int64_t>(out.ratio() * 100.0));
   return out;
 }
 

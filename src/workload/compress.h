@@ -69,7 +69,10 @@ std::string QueryFoldSignature(const CatalogReader& catalog,
 /// Folds queries with identical fold keys into one representative with
 /// summed weight. Representatives keep first-occurrence order, so candidate
 /// enumeration over the compressed workload visits the same queries in the
-/// same order as the uncompressed run minus the duplicates.
+/// same order as the uncompressed run minus the duplicates. The result is
+/// always a usable fold: when nothing folds it is the identity
+/// (`representative[i] == i`, `members[i] == {i}`). Every call sets the
+/// `advisor.compression_ratio` gauge to this fold's ratio.
 CompressedWorkload CompressWorkload(const CatalogReader& catalog,
                                     const Workload& workload);
 

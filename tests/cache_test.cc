@@ -23,7 +23,9 @@
 #include "engine/cache_governor.h"
 #include "engine/cache_spill.h"
 #include "storage/database.h"
+#include "workload/compress.h"
 #include "workload/sdss.h"
+#include "workload/sdss_scale.h"
 
 namespace parinda {
 namespace {
@@ -480,22 +482,30 @@ TEST(BudgetEquivalenceTest, BudgetedAutoPartMatchesUnbudgeted) {
             plain.evaluator_stats().cache_misses);
 }
 
-TEST(SpillSessionTest, SavedCacheWarmsAFreshSessionBitIdentically) {
-  Stack s;
-  const std::string path = TempPath("session_spill.parinda");
+/// Evaluates `session` under EvaluateWithDesign's partition when
+/// `with_design`, under no design otherwise.
+Result<InteractiveReport> Evaluate(DesignSession* session, bool with_design) {
+  if (with_design) return EvaluateWithDesign(session);
+  return session->Evaluate();
+}
 
-  DesignSession first(s.db.catalog(), &s.workload);
-  auto want = first.Evaluate();
+/// Saves the cache of a session that evaluated `workload` (under a vertical
+/// partition when `with_design`), loads it into a fresh session and expects
+/// a warm start: zero planner calls and a bit-identical report.
+void ExpectSpillWarmsAFreshSession(const Database& db, const Workload& workload,
+                                   bool with_design, const std::string& path) {
+  DesignSession first(db.catalog(), &workload);
+  auto want = Evaluate(&first, with_design);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
   ASSERT_TRUE(first.SaveCache(path).ok());
 
-  DesignSession second(s.db.catalog(), &s.workload);
+  DesignSession second(db.catalog(), &workload);
   auto report = second.LoadCache(path);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GT(report->records_loaded, 0);
   EXPECT_EQ(report->records_rejected, 0);
 
-  auto got = second.Evaluate();
+  auto got = Evaluate(&second, with_design);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   // Warm start: every cost came from the spill — zero planner calls, and the
   // report matches the saving session's bit-for-bit.
@@ -504,7 +514,24 @@ TEST(SpillSessionTest, SavedCacheWarmsAFreshSessionBitIdentically) {
   EXPECT_EQ(got->optimized_cost, want->optimized_cost);
   EXPECT_EQ(got->per_query_base, want->per_query_base);
   EXPECT_EQ(got->per_query_optimized, want->per_query_optimized);
+  EXPECT_EQ(got->rewritten_sql, want->rewritten_sql);
   std::remove(path.c_str());
+}
+
+TEST(SpillSessionTest, SavedCacheWarmsAFreshSessionBitIdentically) {
+  Stack s;
+  ExpectSpillWarmsAFreshSession(s.db, s.workload, /*with_design=*/false,
+                                TempPath("session_spill.parinda"));
+  // A log that repeats its queries: the session keys each fold class by its
+  // first query, and the spill warms every member of the class.
+  SdssScaleConfig config;
+  config.num_queries = 120;
+  auto scaled = MakeScaledSdssWorkload(s.db.catalog(), config);
+  ASSERT_TRUE(scaled.ok());
+  ASSERT_LT(CompressWorkload(s.db.catalog(), *scaled).workload.size(),
+            scaled->size());
+  ExpectSpillWarmsAFreshSession(s.db, *scaled, /*with_design=*/true,
+                                TempPath("session_spill_folded.parinda"));
 }
 
 TEST(SpillSessionTest, MismatchedParamsRefuseTheSpill) {

@@ -9,6 +9,7 @@
 #include "autopart/autopart.h"
 #include "common/check.h"
 #include "common/memsize.h"
+#include "common/metrics.h"
 #include "workload/compress.h"
 #include "workload/sdss.h"
 #include "workload/sdss_scale.h"
@@ -487,6 +488,30 @@ TEST(CompressTest, AutoPartAdviceBitIdenticalUnderCompression) {
       EXPECT_EQ(advice->fragments[i].columns, kSdss160Fragments[i].columns);
     }
   }
+}
+
+// `advisor.compression_ratio` describes the latest fold, whoever took it and
+// whether or not anything folded: a non-folding AutoPart run after a folding
+// index advisor must not leave the index advisor's ratio behind.
+TEST(CompressTest, CompressionRatioGaugeTracksTheLatestFold) {
+  std::unique_ptr<Database> db(MakeSdssDb(2000));
+  metrics::Gauge& gauge =
+      metrics::Registry::Global().gauge("advisor.compression_ratio");
+  SdssScaleConfig config;
+  config.num_queries = 300;
+  auto scaled = MakeScaledSdssWorkload(db->catalog(), config);
+  ASSERT_TRUE(scaled.ok());
+  IndexAdvisor index_advisor(db->catalog(), *scaled);
+  ASSERT_TRUE(index_advisor.SuggestWithIlp().ok());
+  EXPECT_GT(gauge.value(), 200);
+
+  auto distinct = MakeSdssWorkload(db->catalog());
+  ASSERT_TRUE(distinct.ok());
+  AutoPartOptions options;
+  options.max_iterations = 1;
+  AutoPartAdvisor autopart(db->catalog(), *distinct, options);
+  ASSERT_TRUE(autopart.Suggest().ok());
+  EXPECT_EQ(gauge.value(), 100);
 }
 
 TEST(CompressTest, PeakRssBytesReportsPeak) {

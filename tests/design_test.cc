@@ -14,7 +14,9 @@
 #include "design/design_session.h"
 #include "optimizer/planner.h"
 #include "parinda/parinda.h"
+#include "workload/compress.h"
 #include "workload/sdss.h"
+#include "workload/sdss_scale.h"
 
 namespace parinda {
 namespace {
@@ -333,6 +335,29 @@ TEST_F(DesignSessionTest, SetWorkloadDiscardsCachedCosts) {
   auto report = session.Evaluate();
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report->per_query_base.size(), 2u);
+}
+
+// The session folds its workload (DESIGN.md §15): a fresh session's first
+// Evaluate() plans each fold class once for the base design and once for
+// the what-if design, however often the log repeats a query.
+TEST_F(DesignSessionTest, FirstEvaluatePlansEachFoldClassOnce) {
+  SdssScaleConfig config;
+  config.num_queries = 300;
+  auto scaled = MakeScaledSdssWorkload(db_->catalog(), config);
+  ASSERT_TRUE(scaled.ok());
+  const int classes =
+      CompressWorkload(db_->catalog(), *scaled).workload.size();
+  ASSERT_LT(classes, scaled->size());
+
+  DesignSession session(db_->catalog(), &*scaled);
+  ASSERT_TRUE(
+      session.AddIndex({"ds_fold", dataset_->photoobj, {0}, false}).ok());
+  EXPECT_EQ(session.pending_queries(), scaled->size());
+  auto report = session.Evaluate();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->per_query_base.size(), 300u);
+  EXPECT_LE(session.last_eval_planner_calls(), 2 * classes);
+  EXPECT_EQ(session.pending_queries(), 0);
 }
 
 TEST_F(DesignSessionTest, NullWorkloadYieldsEmptyReport) {

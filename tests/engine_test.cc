@@ -62,7 +62,9 @@ TEST_F(EngineTest, KeyForIgnoresUnitsOnForeignTables) {
   auto workload = MakeWorkload(
       db_->catalog(), {"SELECT ra, dec FROM photoobj WHERE type = 3"});
   ASSERT_TRUE(workload.ok());
-  WorkloadEvaluator evaluator(db_->catalog(), *workload);
+  const CompressedWorkload fold =
+      CompressWorkload(db_->catalog(), *workload);
+  WorkloadEvaluator evaluator(db_->catalog(), fold);
   CostParams params;
 
   const std::string bare = evaluator.KeyFor(0, {}, params);
@@ -86,7 +88,9 @@ TEST_F(EngineTest, BaseCostIsCachedAndBitIdentical) {
   auto workload = MakeWorkload(
       db_->catalog(), {"SELECT count(*) FROM photoobj WHERE r BETWEEN 15 AND 16"});
   ASSERT_TRUE(workload.ok());
-  WorkloadEvaluator evaluator(db_->catalog(), *workload);
+  const CompressedWorkload fold =
+      CompressWorkload(db_->catalog(), *workload);
+  WorkloadEvaluator evaluator(db_->catalog(), fold);
   const EvalContext ctx{};
 
   EXPECT_FALSE(evaluator.CachedBaseCost(0, ctx.params).has_value());
@@ -119,7 +123,9 @@ TEST_F(EngineTest, PartitioningCacheHitsAreBitIdentical) {
   }
   design.fragments = {{rest}};
 
-  WorkloadEvaluator cached(db_->catalog(), *workload);
+  const CompressedWorkload fold =
+      CompressWorkload(db_->catalog(), *workload);
+  WorkloadEvaluator cached(db_->catalog(), fold);
   const EvalContext ctx{};
   PartitionEvalOptions opts;
   std::vector<double> per_query(2, 0.0);
@@ -146,7 +152,9 @@ TEST_F(EngineTest, EvaluateQueryCachesUnderKeyAndBypassesOnEmptyKey) {
   auto workload = MakeWorkload(
       db_->catalog(), {"SELECT ra, dec FROM photoobj WHERE dec > 80"});
   ASSERT_TRUE(workload.ok());
-  WorkloadEvaluator evaluator(db_->catalog(), *workload);
+  const CompressedWorkload fold =
+      CompressWorkload(db_->catalog(), *workload);
+  WorkloadEvaluator evaluator(db_->catalog(), fold);
 
   WorkloadEvaluator::OverlayView view;
   view.catalog = &db_->catalog();
@@ -174,7 +182,9 @@ TEST_F(EngineTest, InumBankReusesModelsUntilParamsChange) {
   auto workload = MakeWorkload(
       db_->catalog(), {"SELECT count(*) FROM photoobj WHERE r BETWEEN 15 AND 16"});
   ASSERT_TRUE(workload.ok());
-  InumBank bank(db_->catalog(), *workload);
+  const CompressedWorkload fold =
+      CompressWorkload(db_->catalog(), *workload);
+  InumBank bank(db_->catalog(), fold);
   EXPECT_EQ(bank.Get(0), nullptr);
 
   CostParams params;
@@ -199,6 +209,33 @@ TEST_F(EngineTest, InumBankReusesModelsUntilParamsChange) {
   auto rebuilt = bank.Model(0, flipped, nullptr);
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_EQ(bank.TotalEstimatesServed(), 0);
+}
+
+// Keys name a fold class by its first original query, so a spilled record
+// keyed on a later member of a class is never read as any class's cost.
+TEST_F(EngineTest, FoldClassesAreKeyedByTheirFirstQuery) {
+  const std::string a = "SELECT ra, dec FROM photoobj WHERE type = 3";
+  const std::string b = "SELECT ra, dec FROM photoobj WHERE dec > 80";
+  auto workload = MakeWorkload(db_->catalog(), {a, a, b});
+  ASSERT_TRUE(workload.ok());
+  const CompressedWorkload fold =
+      CompressWorkload(db_->catalog(), *workload);
+  ASSERT_EQ(fold.workload.size(), 2);
+  WorkloadEvaluator evaluator(db_->catalog(), fold);
+  const CostParams params;
+  const std::string sig = ParamsSignature(params);
+  EXPECT_EQ(evaluator.KeyFor(1, {}, params), "q2|" + sig);
+
+  // base:1 is the second member of class 0; base:2 is class 1's first query.
+  ASSERT_TRUE(evaluator.ImportCacheRecord({"base:1|" + sig, 7.0, false, ""})
+                  .ok());
+  ASSERT_TRUE(evaluator.ImportCacheRecord({"base:2|" + sig, 9.0, false, ""})
+                  .ok());
+  EXPECT_FALSE(evaluator.CachedBaseCost(0, params).has_value());
+  EXPECT_EQ(evaluator.CachedBaseCost(1, params), 9.0);
+  const std::vector<CostCacheRecord> records = evaluator.ExportCacheRecords();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].key, "base:2|" + sig);
 }
 
 }  // namespace

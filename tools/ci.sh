@@ -227,9 +227,10 @@ fi
 
 echo "=== large-workload scaling smoke test ==="
 # The scaling pipeline (DESIGN.md §15) must hold its contract at CI time:
-# a 2000-query scaled SDSS workload compresses at >= 10x and the branch and
-# bound copies its LP exactly once on a deep tree. Budgeted: the whole leg
-# must finish inside 120s.
+# a 2000-query scaled SDSS workload compresses at >= 10x, a fresh design
+# session's first evaluation of it plans at most twice per fold class (one
+# base and one what-if plan), and the branch and bound copies its LP exactly
+# once on a deep tree. Budgeted: the whole leg must finish inside 120s.
 SCALE_START=$SECONDS
 ./build/bench/bench_scale \
   --json=/tmp/parinda_ci_scale.json \
@@ -241,12 +242,17 @@ import json
 metrics = json.load(open("/tmp/parinda_ci_scale.json"))["metrics"]
 ratio = metrics["e10a.2000.compression_ratio"]
 assert ratio >= 10.0, ratio
+plans = metrics["e10a.2000.session_plans"]
+distinct = metrics["e10a.2000.distinct"]
+assert plans <= 2 * distinct, (plans, distinct)
 assert metrics["e10c.incremental_lp_copies"] == 1.0, metrics
 assert metrics["peak_rss_bytes"] > 0, metrics
-print(f"--- scale: {ratio:.1f}x compression, 1 LP copy")
+print(f"--- scale: {ratio:.1f}x compression, {plans:.0f} session plans for "
+      f"{distinct:.0f} fold classes, 1 LP copy")
 EOF
 else
   grep -q '"e10c.incremental_lp_copies": 1' /tmp/parinda_ci_scale.json
+  grep -q '"e10a.2000.session_plans"' /tmp/parinda_ci_scale.json
   echo "--- scale: metrics present (python3 unavailable for bounds)"
 fi
 if [ "$SCALE_WALL" -gt 120 ]; then
