@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "common/check.h"
+#include "common/metrics.h"
 #include "autopart/autopart.h"
 #include "bench/bench_util.h"
 #include "optimizer/planner.h"
@@ -19,6 +20,11 @@
 
 namespace parinda {
 namespace {
+
+/// Statements the engine has rewritten onto fragments so far (process-wide).
+int64_t EngineRewrites() {
+  return metrics::Registry::Global().counter("engine.rewrites").value();
+}
 
 /// The photoobj-heavy slice of the prototypical workload (the queries
 /// AutoPart can affect; join-heavy queries keep their base tables).
@@ -57,9 +63,11 @@ void Run() {
   options.max_iterations = 4;
   AutoPartAdvisor advisor(db->catalog(), workload, options);
   const int64_t plans_before = Planner::stats().plans_built;
+  const int64_t rewrites_before = EngineRewrites();
   auto advice = advisor.Suggest();
   PARINDA_CHECK_OK(advice);
   const int64_t plans_built = Planner::stats().plans_built - plans_before;
+  const int64_t rewrites = EngineRewrites() - rewrites_before;
   const EvaluatorStats estats = advisor.evaluator_stats();
   const double hit_rate =
       estats.cache_hits + estats.cache_misses > 0
@@ -94,6 +102,7 @@ void Run() {
   bench_util::RecordMetric("e6.optimized_cost", advice->optimized_cost);
   bench_util::RecordMetric("e6.speedup", advice->Speedup());
   bench_util::RecordMetric("e6.plans_built", plans_built);
+  bench_util::RecordMetric("e6.rewrites", rewrites);
   bench_util::RecordMetric("e6.cache_hit_rate", hit_rate);
 
   // --- Replication constraint sweep ---
@@ -176,7 +185,8 @@ void RunEngineCache() {
   // E6e — engine cost cache on TPC-H-mini (the second schema family: joins,
   // date ranges). The cache only changes how often the planner runs, never
   // the design (DESIGN.md §13); the planner-call count is compared with the
-  // naive queries x evaluations bound.
+  // naive queries x evaluations bound. Serial, so every count is exact and
+  // repeats from run to run.
   Database db;
   TpchMiniConfig config;
   auto dataset = BuildTpchMiniDatabase(&db, config);
@@ -187,11 +197,14 @@ void RunEngineCache() {
   bench_util::PrintHeader("E6e: engine cost cache (TPC-H-mini, 12 queries)");
   AutoPartOptions options;
   options.max_iterations = 3;
+  options.parallelism = 1;
   AutoPartAdvisor advisor(db.catalog(), *workload, options);
   const int64_t before = Planner::stats().plans_built;
+  const int64_t rewrites_before = EngineRewrites();
   auto advice = advisor.Suggest();
   PARINDA_CHECK_OK(advice);
   const int64_t plans_built = Planner::stats().plans_built - before;
+  const int64_t rewrites = EngineRewrites() - rewrites_before;
   const EvaluatorStats stats = advisor.evaluator_stats();
   const double hit_rate =
       stats.cache_hits + stats.cache_misses > 0
@@ -207,6 +220,7 @@ void RunEngineCache() {
               static_cast<long long>(naive), 100.0 * hit_rate,
               advice->optimized_cost);
   bench_util::RecordMetric("e6e.plans_built_cached", plans_built);
+  bench_util::RecordMetric("e6e.rewrites", rewrites);
   bench_util::RecordMetric("e6e.cache_hit_rate", hit_rate);
   bench_util::RecordMetric("e6e.queries", workload->queries.size());
   bench_util::RecordMetric("e6e.evaluations", advice->evaluations);

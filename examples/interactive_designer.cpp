@@ -513,8 +513,8 @@ int main() {
           CompressWorkload(db.catalog(), *workload_obj);
       std::printf("  %d queries -> %d fold classes (%.2fx); advisors "
                   "evaluate one representative per class\n",
-                  compressed.original_size, compressed.workload.size(),
-                  compressed.ratio());
+                  compressed.expansion.original_size(),
+                  compressed.workload.size(), compressed.ratio());
       for (int c = 0; c < compressed.workload.size(); ++c) {
         const WorkloadQuery& rep = compressed.workload.queries[c];
         std::string sql = rep.sql;

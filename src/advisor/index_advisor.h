@@ -154,7 +154,7 @@ class IndexAdvisor {
   double WeightOf(int orig) const {
     return fold_.expansion.weights[static_cast<size_t>(orig)];
   }
-  int OriginalSize() const { return fold_.original_size; }
+  int OriginalSize() const { return fold_.expansion.original_size(); }
 
   const CatalogReader& catalog_;
   const Workload& workload_;

@@ -35,6 +35,12 @@ metrics::Counter& CacheMissesCounter() {
       metrics::Registry::Global().counter("engine.cache_misses");
   return counter;
 }
+/// Statements the engine rewrote onto fragments (each is planned next).
+metrics::Counter& RewritesCounter() {
+  static metrics::Counter& counter =
+      metrics::Registry::Global().counter("engine.rewrites");
+  return counter;
+}
 
 void AppendHexDouble(std::string* out, double value) {
   uint64_t bits = 0;
@@ -68,21 +74,6 @@ bool ParseBaseKey(std::string_view key, int* q, std::string_view* sig) {
   *q = value;
   *sig = key.substr(bar + 1);
   return true;
-}
-
-/// Exact signature of one table's vertical partitioning. Fragment order is
-/// significant: search-pass fragment names embed the fragment ordinal.
-std::string PartitioningSignature(const PartitionedTable& entry) {
-  std::string sig = "vp:" + std::to_string(entry.table) + ':';
-  for (const std::vector<ColumnId>& fragment : entry.fragments) {
-    sig += '[';
-    for (size_t i = 0; i < fragment.size(); ++i) {
-      if (i > 0) sig += ',';
-      sig += std::to_string(fragment[i]);
-    }
-    sig += ']';
-  }
-  return sig;
 }
 
 }  // namespace
@@ -142,8 +133,10 @@ bool WorkloadEvaluator::Touches(const std::vector<TableId>& query_tables,
 std::string WorkloadEvaluator::KeyFor(int q,
                                       const std::vector<OverlayUnit>& units,
                                       const CostParams& params) const {
-  std::string key =
-      "q" + std::to_string(FirstOf(q)) + '|' + ParamsSignature(params);
+  std::string key = "q";
+  key += std::to_string(FirstOf(q));
+  key += '|';
+  key += ParamsSignature(params);
   const std::vector<TableId>& tables = QueryTables(q);
   for (const OverlayUnit& unit : units) {
     if (!Touches(tables, unit.tables)) continue;
@@ -235,6 +228,7 @@ Result<WorkloadEvaluator::QueryEval> WorkloadEvaluator::EvaluateQuery(
   PARINDA_ASSIGN_OR_RETURN(
       RewriteResult rewritten,
       RewriteForPartitions(*view.catalog, query.stmt, *view.fragments));
+  RewritesCounter().Increment();
   PlannerOptions planner_options;
   planner_options.params = view.params;
   planner_options.hooks = view.hooks;
@@ -261,29 +255,34 @@ Result<WorkloadEvaluator::QueryEval> WorkloadEvaluator::EvaluateQuery(
   return out;
 }
 
-std::string WorkloadEvaluator::PlanKeyFor(int q, const std::string& params_sig,
-                                          const CatalogReader& overlay,
-                                          const SelectStatement& stmt) const {
-  std::string key = "plan:" + std::to_string(FirstOf(q)) + '|' + params_sig;
-  for (const TableRef& ref : stmt.from) {
-    key += '|';
-    const TableInfo* info = overlay.GetTable(ref.bound_table);
-    if (info == nullptr) {
-      key += "?:" + std::to_string(ref.bound_table);
-    } else if (info->parent_table == kInvalidTableId) {
+std::string WorkloadEvaluator::PlanKey(int q, const std::string& params_sig,
+                                       const FragmentChoice& choice) const {
+  std::string key = "plan:";
+  key += std::to_string(FirstOf(q));
+  key += '|';
+  key += params_sig;
+  auto append = [&key](const TableInfo& info) {
+    if (info.parent_table == kInvalidTableId) {
       // A base table: identified by its stable catalog id.
-      key += "b:" + std::to_string(ref.bound_table);
-    } else {
-      // A what-if fragment: identified by content (parent + column names),
-      // not by its per-overlay id or name — statistics derive
-      // deterministically from the parent and the column set, so
-      // content-identical fragments cost the same in any overlay.
-      key += "f:" + std::to_string(info->parent_table) + ':';
-      for (ColumnId c = 0; c < info->schema.num_columns(); ++c) {
-        if (c > 0) key += ',';
-        key += info->schema.column(c).name;
-      }
+      key += "|b:";
+      key += std::to_string(info.id);
+      return;
     }
+    // A what-if fragment: identified by content (parent + column names),
+    // not by its per-overlay id or name — statistics derive
+    // deterministically from the parent and the column set, so
+    // content-identical fragments cost the same in any overlay.
+    key += "|f:";
+    key += std::to_string(info.parent_table);
+    key += ':';
+    for (ColumnId c = 0; c < info.schema.num_columns(); ++c) {
+      if (c > 0) key += ',';
+      key += info.schema.column(c).name;
+    }
+  };
+  for (const FragmentChoice::Range& range : choice.ranges) {
+    if (range.fragments.empty()) append(*range.table);
+    for (const TableInfo* fragment : range.fragments) append(*fragment);
   }
   return key;
 }
@@ -302,45 +301,32 @@ Result<double> WorkloadEvaluator::EvaluatePartitioning(
   // rewrite-and-plan work: its fragment names cross table boundaries and its
   // SQL output is not cached.
   const bool cacheable = !opts.stable_names && rewritten_sql == nullptr;
-  std::string params_sig;
-  std::vector<std::string> unit_sigs;
-  if (cacheable) {
-    params_sig = ParamsSignature(ctx.params);
-    unit_sigs.reserve(design.size());
-    for (const PartitionedTable& entry : design) {
-      unit_sigs.push_back(PartitioningSignature(entry));
-    }
-  }
-  // The what-if overlay is materialized lazily: when every query is served
-  // from the cache, no hypothetical tables are built at all.
+  const std::string params_sig =
+      cacheable ? ParamsSignature(ctx.params) : std::string();
+  // The rewriter's fragment choice, and with it the cache key, reads the
+  // fragments, so the what-if overlay is built before any lookup.
   WhatIfTableCatalog overlay(catalog_);
   std::vector<const TableInfo*> fragments;
-  bool overlay_built = false;
-  auto build_overlay = [&]() -> Status {
-    int global_index = 0;
-    for (const PartitionedTable& entry : design) {
-      const TableInfo* parent = catalog_.GetTable(entry.table);
-      for (size_t k = 0; k < entry.fragments.size(); ++k) {
-        WhatIfPartitionDef def;
-        def.parent = entry.table;
-        def.columns = entry.fragments[k];
-        // Search-pass names only need to be unique within this call's
-        // private overlay (table + fragment ordinal suffices) and are a
-        // deterministic function of the design, so equal cache keys imply
-        // identically named overlays. The reporting pass uses the stable
-        // `<table>_part<k>` names MaterializePartitions will create.
-        def.name = opts.stable_names
-                       ? parent->name + "_part" + std::to_string(global_index)
-                       : "wif_" + std::to_string(entry.table) + "_f" +
-                             std::to_string(k);
-        ++global_index;
-        PARINDA_ASSIGN_OR_RETURN(TableId id, overlay.AddPartition(def));
-        fragments.push_back(overlay.GetTable(id));
-      }
+  int global_index = 0;
+  for (const PartitionedTable& entry : design) {
+    const TableInfo* parent = catalog_.GetTable(entry.table);
+    for (size_t k = 0; k < entry.fragments.size(); ++k) {
+      WhatIfPartitionDef def;
+      def.parent = entry.table;
+      def.columns = entry.fragments[k];
+      // Search-pass names only need to be unique within this call's private
+      // overlay (table + fragment ordinal suffices); cache keys name
+      // fragments by content, never by name. The reporting pass uses the
+      // stable `<table>_part<k>` names MaterializePartitions will create.
+      def.name = opts.stable_names
+                     ? parent->name + "_part" + std::to_string(global_index)
+                     : "wif_" + std::to_string(entry.table) + "_f" +
+                           std::to_string(k);
+      ++global_index;
+      PARINDA_ASSIGN_OR_RETURN(TableId id, overlay.AddPartition(def));
+      fragments.push_back(overlay.GetTable(id));
     }
-    overlay_built = true;
-    return Status::OK();
-  };
+  }
   PlannerOptions planner_options;
   planner_options.params = ctx.params;
   // Per-class costs are collected first and accumulated afterwards, so the
@@ -355,68 +341,28 @@ Result<double> WorkloadEvaluator::EvaluatePartitioning(
       PARINDA_RETURN_IF_ERROR(ctx.cancellation->CheckOk("engine.evaluate"));
     }
     const WorkloadQuery& query = classes[static_cast<size_t>(q)];
-    // Level 1: the design restricted to the tables this class reads. A
-    // candidate move on other tables leaves this key unchanged — the
-    // table-dependency invalidation rule.
+    PARINDA_ASSIGN_OR_RETURN(FragmentChoice choice,
+                             ChooseFragments(overlay, query.stmt, fragments));
+    // Keyed on the content of the fragments the rewriter chooses. A choice
+    // reads only the fragments of the tables the class reads, so a move on
+    // other tables leaves the key unchanged (the table-dependency rule), and
+    // designs that differ only in fragments the rewrite ignores plan
+    // identically.
     std::string key;
     if (cacheable) {
-      key = "q" + std::to_string(FirstOf(q)) + '|' + params_sig;
-      for (size_t i = 0; i < design.size(); ++i) {
-        if (!std::binary_search(query_tables_[static_cast<size_t>(q)].begin(),
-                                query_tables_[static_cast<size_t>(q)].end(),
-                                design[i].table)) {
-          continue;
-        }
-        key += '|';
-        key += unit_sigs[i];
-      }
+      key = PlanKey(q, params_sig, choice);
       std::optional<double> hit;
-      int64_t bytes = 0;
       {
         MutexLock lock(mu_);
         auto it = cache_.find(key);
         if (it != cache_.end()) {
           ++stats_.cache_hits;
           hit = it->second.cost;
-          bytes = EntryBytes(key, it->second.rewritten_sql);
         }
       }
       if (hit.has_value()) {
         CacheHitsCounter().Increment();
         if (governor_ != nullptr) {
-          PARINDA_RETURN_IF_ERROR(governor_->Touch(governor_shard_, key, bytes));
-        }
-        eval_cost[static_cast<size_t>(q)] = *hit;
-        continue;
-      }
-    }
-    if (!overlay_built) {
-      PARINDA_RETURN_IF_ERROR(build_overlay());
-    }
-    PARINDA_ASSIGN_OR_RETURN(
-        RewriteResult rewritten,
-        RewriteForPartitions(overlay, query.stmt, fragments));
-    // Level 2: keyed on the fragments the rewriter actually chose, by
-    // content. Designs that differ only in tables (or fragments) this
-    // query's rewrite ignored plan identically.
-    std::string plan_key;
-    if (cacheable) {
-      plan_key = PlanKeyFor(q, params_sig, overlay, rewritten.stmt);
-      std::optional<double> hit;
-      {
-        MutexLock lock(mu_);
-        auto it = cache_.find(plan_key);
-        if (it != cache_.end()) {
-          ++stats_.cache_hits;
-          hit = it->second.cost;
-          cache_[key].cost = *hit;  // promote to the level-1 key too
-        }
-      }
-      if (hit.has_value()) {
-        CacheHitsCounter().Increment();
-        if (governor_ != nullptr) {
-          PARINDA_RETURN_IF_ERROR(governor_->Touch(governor_shard_, plan_key,
-                                                   EntryBytes(plan_key, "")));
           PARINDA_RETURN_IF_ERROR(
               governor_->Touch(governor_shard_, key, EntryBytes(key, "")));
         }
@@ -424,6 +370,9 @@ Result<double> WorkloadEvaluator::EvaluatePartitioning(
         continue;
       }
     }
+    PARINDA_ASSIGN_OR_RETURN(RewriteResult rewritten,
+                             BuildRewrite(overlay, query.stmt, choice));
+    RewritesCounter().Increment();
     PARINDA_ASSIGN_OR_RETURN(
         Plan plan, PlanQuery(overlay, rewritten.stmt, planner_options));
     const double cost = plan.total_cost();
@@ -432,12 +381,9 @@ Result<double> WorkloadEvaluator::EvaluatePartitioning(
         MutexLock lock(mu_);
         ++stats_.cache_misses;
         cache_[key].cost = cost;
-        cache_[plan_key].cost = cost;
       }
       CacheMissesCounter().Increment();
       if (governor_ != nullptr) {
-        PARINDA_RETURN_IF_ERROR(governor_->Touch(governor_shard_, plan_key,
-                                                 EntryBytes(plan_key, "")));
         PARINDA_RETURN_IF_ERROR(
             governor_->Touch(governor_shard_, key, EntryBytes(key, "")));
       }

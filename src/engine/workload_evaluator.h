@@ -19,6 +19,8 @@
 
 namespace parinda {
 
+struct FragmentChoice;
+
 /// Exact textual signature of a CostParams: doubles hex-encoded bit-for-bit,
 /// flags as single characters. Two signatures compare equal iff the params
 /// are bit-identical, so signatures are safe as cost-cache key prefixes and
@@ -69,6 +71,12 @@ struct EvaluatorStats {
 /// cost cache with table-dependency invalidation, so every advisor reuses
 /// what-if costs instead of re-planning the full workload per candidate —
 /// CoPhy's decoupling of cost derivation from design selection.
+///
+/// Two key shapes share one cache. The session path (EvaluateQuery) keys on
+/// KeyFor: the overlay units touching the query's tables. AutoPart's path
+/// (EvaluatePartitioning) keys on PlanKey: the rewriter's fragment choice,
+/// by content, so a lookup never rewrites; a statement is rewritten only to
+/// be planned (the `engine.rewrites` counter).
 ///
 /// Caching never changes results, only planner-call counts: a cache entry is
 /// keyed on an exact signature of everything the cost depends on, so a hit
@@ -146,7 +154,20 @@ class WorkloadEvaluator {
 
   // -- whole-workload partitioning evaluation (AutoPart's path) --------
 
-  /// Weighted workload cost under `design`. A candidate move touches one
+  /// EvaluatePartitioning's cache key for class `q` under the rewriter's
+  /// `choice` (ChooseFragments over the design's fragments):
+  /// `plan:<first>|<params_sig>`, then one entry per FROM entry of the
+  /// statement the choice builds — `b:<id>` for a kept base table,
+  /// `f:<parent>:<column names>` for each chosen fragment. Fragments are
+  /// named by content, never by overlay id or name, so two designs that
+  /// move a query onto content-identical fragments share one entry, and a
+  /// design change on tables the query does not read leaves the key as is.
+  std::string PlanKey(int q, const std::string& params_sig,
+                      const FragmentChoice& choice) const;
+
+  /// Weighted workload cost under `design`. Each fold class's fragment
+  /// choice is made first and keys the cache (PlanKey); the statement is
+  /// rewritten and planned only on a miss. A candidate move touches one
   /// table, so fold classes not reading it are served from the cache. The
   /// total and the output arrays are expanded over the ORIGINAL queries in
   /// ascending order — each contributes its class's cost times its own
@@ -196,13 +217,6 @@ class WorkloadEvaluator {
     std::string rewritten_sql;
   };
 
-  /// Second-level key: the *content* of the fragments the rewriter actually
-  /// chose for `stmt`, independent of fragment naming and of design parts
-  /// the rewrite ignored. Two designs that rewrite a query onto
-  /// content-identical fragments cost the same.
-  std::string PlanKeyFor(int q, const std::string& params_sig,
-                         const CatalogReader& overlay,
-                         const SelectStatement& stmt) const;
   /// The first original query of fold class `q`: the class's name in keys.
   int FirstOf(int q) const {
     return fold_.expansion.members[static_cast<size_t>(q)].front();

@@ -176,7 +176,7 @@ std::optional<double> InumCostModel::SlotAccessCost(
   switch (slot.kind) {
     case AccessSlot::Kind::kSeq: {
       // Any access path works where no order was exploited; pick the best.
-      double best = CostSeqScan(params_, table, restriction_sel,
+      double best = CostSeqScan(params_, RelSize::Of(table), restriction_sel,
                                 static_cast<int>(restrictions.size()))
                         .total;
       for (const IndexInfo* index : table_indexes) {
@@ -190,8 +190,8 @@ std::optional<double> InumCostModel::SlotAccessCost(
                             restriction_sel, range, table, *index)
                 .total;
         const double bitmap =
-            CostBitmapHeapScan(params_, table, *index, match.index_sel,
-                               restriction_sel,
+            CostBitmapHeapScan(params_, RelSize::Of(table), *index,
+                               match.index_sel, restriction_sel,
                                static_cast<int>(match.matched_conds.size()),
                                num_filters)
                 .total;
@@ -222,7 +222,7 @@ std::optional<double> InumCostModel::SlotAccessCost(
           continue;
         }
         const ScanCost per_loop = CostIndexScan(
-            params_, table, *index, slot.eq_sel,
+            params_, table, RelSize::Of(table), *index, slot.eq_sel,
             restriction_sel * slot.eq_sel, 1,
             static_cast<int>(restrictions.size()), slot.loops);
         const double cost = slot.loops * per_loop.total;

@@ -13,17 +13,17 @@ double ClampRows(double rows) { return std::max(1.0, std::ceil(rows)); }
 
 }  // namespace
 
-ScanCost CostSeqScan(const CostParams& params, const TableInfo& table,
-                     double filter_sel, int num_filter_quals) {
+ScanCost CostSeqScan(const CostParams& params, RelSize size, double filter_sel,
+                     int num_filter_quals) {
   ScanCost cost;
-  const double pages = std::max(1.0, table.pages);
+  const double pages = std::max(1.0, size.pages);
   double run = params.seq_page_cost * pages +
-               params.cpu_tuple_cost * table.row_count +
-               params.cpu_operator_cost * num_filter_quals * table.row_count;
+               params.cpu_tuple_cost * size.rows +
+               params.cpu_operator_cost * num_filter_quals * size.rows;
   if (!params.enable_seqscan) run += CostParams::kDisableCost;
   cost.startup = 0.0;
   cost.total = run;
-  cost.rows = ClampRows(table.row_count * filter_sel);
+  cost.rows = ClampRows(size.rows * filter_sel);
   return cost;
 }
 
@@ -51,12 +51,12 @@ double MackertLohmanPagesFetched(double tuples, double pages,
 }
 
 ScanCost CostIndexScan(const CostParams& params, const TableInfo& table,
-                       const IndexInfo& index, double index_sel,
+                       RelSize size, const IndexInfo& index, double index_sel,
                        double filter_sel, int num_index_conds,
                        int num_filter_quals, double loop_count) {
   ScanCost cost;
-  const double rows = std::max(1.0, table.row_count);
-  const double heap_pages = std::max(1.0, table.pages);
+  const double rows = std::max(1.0, size.rows);
+  const double heap_pages = std::max(1.0, size.pages);
   const double tuples_fetched = ClampRows(rows * index_sel);
   const double leaf_pages = std::max(1.0, index.leaf_pages);
   const double entries = index.entries > 0 ? index.entries : rows;
@@ -115,13 +115,13 @@ ScanCost CostIndexScan(const CostParams& params, const TableInfo& table,
   return cost;
 }
 
-ScanCost CostBitmapHeapScan(const CostParams& params, const TableInfo& table,
+ScanCost CostBitmapHeapScan(const CostParams& params, RelSize size,
                             const IndexInfo& index, double index_sel,
                             double filter_sel, int num_index_conds,
                             int num_filter_quals) {
   ScanCost cost;
-  const double rows = std::max(1.0, table.row_count);
-  const double heap_pages = std::max(1.0, table.pages);
+  const double rows = std::max(1.0, size.rows);
+  const double heap_pages = std::max(1.0, size.pages);
   const double tuples_fetched = ClampRows(rows * index_sel);
   const double leaf_pages = std::max(1.0, index.leaf_pages);
   const double entries = index.entries > 0 ? index.entries : rows;

@@ -10,6 +10,17 @@ namespace parinda {
 /// ILP benefit computation. Keeping one implementation is what makes INUM's
 /// "internal cost + access cost" recomposition exact.
 
+/// The sizes a scan is costed at: a table's own, or the hook-adjusted ones
+/// the planner carries per range (what-if size hooks change only these two).
+struct RelSize {
+  double rows = 0.0;
+  double pages = 0.0;
+
+  static RelSize Of(const TableInfo& table) {
+    return RelSize{table.row_count, table.pages};
+  }
+};
+
 struct ScanCost {
   double startup = 0.0;
   double total = 0.0;
@@ -18,17 +29,18 @@ struct ScanCost {
 };
 
 /// Sequential scan over the whole heap with `filter_sel` surviving the quals.
-ScanCost CostSeqScan(const CostParams& params, const TableInfo& table,
-                     double filter_sel, int num_filter_quals);
+ScanCost CostSeqScan(const CostParams& params, RelSize size, double filter_sel,
+                     int num_filter_quals);
 
-/// B-tree index scan fetching `index_sel` of the table through the index and
+/// B-tree index scan fetching `index_sel` of a table of `size` through the
+/// index (`table` supplies the leading key column's correlation) and
 /// keeping `filter_sel` (<= index_sel) after residual quals. Implements
 /// PostgreSQL's cost_index: Mackert–Lohman page fetch estimation with
 /// correlation-squared interpolation between best and worst case I/O.
 /// `loop_count` > 1 models a parameterized inner scan of a nested loop and
 /// amortizes cache effects across rescans.
 ScanCost CostIndexScan(const CostParams& params, const TableInfo& table,
-                       const IndexInfo& index, double index_sel,
+                       RelSize size, const IndexInfo& index, double index_sel,
                        double filter_sel, int num_index_conds,
                        int num_filter_quals, double loop_count = 1.0);
 
@@ -43,7 +55,7 @@ double MackertLohmanPagesFetched(double tuples, double pages,
 /// sequential and random by density (PostgreSQL's cost_bitmap_heap_scan).
 /// Unordered output; wins at medium selectivities where plain index scans
 /// thrash and sequential scans read too much.
-ScanCost CostBitmapHeapScan(const CostParams& params, const TableInfo& table,
+ScanCost CostBitmapHeapScan(const CostParams& params, RelSize size,
                             const IndexInfo& index, double index_sel,
                             double filter_sel, int num_index_conds,
                             int num_filter_quals);

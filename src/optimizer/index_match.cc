@@ -52,7 +52,8 @@ ScanCost IndexAccessCost(const CostParams& params,
       MatchIndexConditions(tables, restrictions, range, index);
   const int num_filters =
       static_cast<int>(restrictions.size() - match.matched_conds.size());
-  return CostIndexScan(params, table, index, match.index_sel, restriction_sel,
+  return CostIndexScan(params, table, RelSize::Of(table), index,
+                       match.index_sel, restriction_sel,
                        static_cast<int>(match.matched_conds.size()),
                        num_filters);
 }

@@ -176,10 +176,8 @@ std::vector<PlanNodePtr> PlannerImpl::BaseRelPaths(int range) {
   const double out_rows = MaskRows(RelMask{1} << range);
   const double width = MaskWidth(RelMask{1} << range);
 
-  // Use a TableInfo with hook-adjusted sizes for costing.
-  TableInfo effective = table;
-  effective.row_count = rel.row_count;
-  effective.pages = rel.pages;
+  // Cost at the hook-adjusted sizes.
+  const RelSize size{rel.row_count, rel.pages};
 
   // Horizontally partitioned table: scan as an Append over the children
   // that survive pruning against this query's predicates on the partition
@@ -212,7 +210,7 @@ std::vector<PlanNodePtr> PlannerImpl::BaseRelPaths(int range) {
           ConjunctionSelectivity(child_tables, restrictions_[range]);
       // Best access path for this child: seq scan vs its indexes.
       const ScanCost seq =
-          CostSeqScan(options_.params, *child, child_sel,
+          CostSeqScan(options_.params, RelSize::Of(*child), child_sel,
                       static_cast<int>(restrictions_[range].size()));
       auto scan = std::make_shared<PlanNode>();
       scan->type = PlanNodeType::kSeqScan;
@@ -229,8 +227,9 @@ std::vector<PlanNodePtr> PlannerImpl::BaseRelPaths(int range) {
             child_tables, restrictions_[range], range, *child_index);
         if (!child_match.HasConds()) continue;
         const ScanCost idx = CostIndexScan(
-            options_.params, *child, *child_index, child_match.index_sel,
-            child_sel, static_cast<int>(child_match.matched_conds.size()),
+            options_.params, *child, RelSize::Of(*child), *child_index,
+            child_match.index_sel, child_sel,
+            static_cast<int>(child_match.matched_conds.size()),
             static_cast<int>(restrictions_[range].size() -
                              child_match.matched_conds.size()));
         if (idx.total < best_child->total_cost) {
@@ -278,7 +277,7 @@ std::vector<PlanNodePtr> PlannerImpl::BaseRelPaths(int range) {
   // Sequential scan.
   {
     const ScanCost cost =
-        CostSeqScan(options_.params, effective, restriction_sel_[range],
+        CostSeqScan(options_.params, size, restriction_sel_[range],
                     static_cast<int>(restrictions_[range].size()));
     auto node = std::make_shared<PlanNode>();
     node->type = PlanNodeType::kSeqScan;
@@ -344,7 +343,7 @@ std::vector<PlanNodePtr> PlannerImpl::BaseRelPaths(int range) {
     }
     if (!index_conds.empty() || provides_useful_order) {
       const ScanCost cost = CostIndexScan(
-          options_.params, effective, *index, index_sel,
+          options_.params, table, size, *index, index_sel,
           restriction_sel_[range], static_cast<int>(index_conds.size()),
           static_cast<int>(filters.size()));
       auto node = std::make_shared<PlanNode>();
@@ -376,7 +375,7 @@ std::vector<PlanNodePtr> PlannerImpl::BaseRelPaths(int range) {
         }
       }
       const ScanCost bitmap_cost = CostBitmapHeapScan(
-          options_.params, effective, *index, index_sel,
+          options_.params, size, *index, index_sel,
           restriction_sel_[range], static_cast<int>(index_conds.size()),
           static_cast<int>(filters.size()));
       auto bitmap = std::make_shared<PlanNode>();
@@ -521,9 +520,7 @@ void PlannerImpl::GenerateJoinPaths(RelMask outer_mask, RelMask inner_mask,
     if (__builtin_popcountll(inner_mask) == 1 && !clauses.empty()) {
       const int inner_range = __builtin_ctzll(inner_mask);
       const RelOptInfo& rel = rels_[inner_range];
-      TableInfo effective = *rel.table;
-      effective.row_count = rel.row_count;
-      effective.pages = rel.pages;
+      const RelSize size{rel.row_count, rel.pages};
       for (const IndexInfo* index : rel.indexes) {
         // The index leading column must be the inner side of a clause.
         const EquiJoinClause* param_clause = nullptr;
@@ -547,15 +544,14 @@ void PlannerImpl::GenerateJoinPaths(RelMask outer_mask, RelMask inner_mask,
         }
         if (param_clause == nullptr) continue;
         // Per-loop selectivity of key = outer value: 1 / ndistinct.
-        const ColumnStats* stats = effective.StatsFor(inner_col);
-        const double nd = stats != nullptr
-                              ? stats->DistinctCount(effective.row_count)
-                              : effective.row_count;
+        const ColumnStats* stats = rel.table->StatsFor(inner_col);
+        const double nd = stats != nullptr ? stats->DistinctCount(size.rows)
+                                           : size.rows;
         const double eq_sel = 1.0 / std::max(1.0, nd);
         const double loop_count = ClampRows(outer->rows);
         const double filter_sel = restriction_sel_[inner_range] * eq_sel;
         const ScanCost cost = CostIndexScan(
-            params, effective, *index, eq_sel, filter_sel, 1,
+            params, *rel.table, size, *index, eq_sel, filter_sel, 1,
             static_cast<int>(restrictions_[inner_range].size()), loop_count);
         auto inner_scan = std::make_shared<PlanNode>();
         inner_scan->type = PlanNodeType::kIndexScan;

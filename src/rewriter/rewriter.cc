@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
+#include <string>
 
 #include "parser/binder.h"
 
@@ -10,32 +10,27 @@ namespace parinda {
 
 namespace {
 
-/// Per-range rewrite decision: the fragments covering the query's columns
-/// and, for each used parent column, which fragment serves it.
-struct RangePlan {
-  bool rewrite = false;
-  std::vector<const TableInfo*> fragments_used;
-  /// parent column ordinal -> index into fragments_used.
-  std::map<ColumnId, int> column_home;
-};
-
-/// Greedy set cover of `needed` parent columns by the parent's fragments.
-RangePlan PlanRange(const std::set<ColumnId>& needed,
-                    const std::vector<const TableInfo*>& fragments) {
-  RangePlan plan;
-  std::set<ColumnId> uncovered = needed;
-  while (!uncovered.empty()) {
+/// Greedy set cover of the parent columns flagged in `needed` by the
+/// parent's fragments: the fragments in the order chosen, or empty when the
+/// columns cannot be covered (the base table stays).
+std::vector<const TableInfo*> CoverColumns(
+    std::vector<char> needed, const std::vector<const TableInfo*>& fragments) {
+  std::vector<const TableInfo*> chosen;
+  int uncovered = static_cast<int>(std::count(needed.begin(), needed.end(), 1));
+  auto is_uncovered = [&](ColumnId col) {
+    return col >= 0 && static_cast<size_t>(col) < needed.size() &&
+           needed[static_cast<size_t>(col)] != 0;
+  };
+  while (uncovered > 0) {
     const TableInfo* best = nullptr;
     int best_cover = 0;
     for (const TableInfo* frag : fragments) {
-      // Already chosen?
-      if (std::find(plan.fragments_used.begin(), plan.fragments_used.end(),
-                    frag) != plan.fragments_used.end()) {
+      if (std::find(chosen.begin(), chosen.end(), frag) != chosen.end()) {
         continue;
       }
       int cover = 0;
       for (ColumnId col : frag->parent_columns) {
-        if (uncovered.count(col) > 0) ++cover;
+        if (is_uncovered(col)) ++cover;
       }
       if (cover > best_cover ||
           (cover == best_cover && cover > 0 && best != nullptr &&
@@ -44,21 +39,16 @@ RangePlan PlanRange(const std::set<ColumnId>& needed,
         best_cover = cover;
       }
     }
-    if (best == nullptr || best_cover == 0) {
-      // Not coverable by fragments: keep the base table.
-      plan.rewrite = false;
-      return plan;
-    }
-    const int frag_index = static_cast<int>(plan.fragments_used.size());
-    plan.fragments_used.push_back(best);
+    if (best == nullptr || best_cover == 0) return {};
+    chosen.push_back(best);
     for (ColumnId col : best->parent_columns) {
-      if (uncovered.erase(col) > 0) {
-        plan.column_home[col] = frag_index;
+      if (is_uncovered(col)) {
+        needed[static_cast<size_t>(col)] = 0;
+        --uncovered;
       }
     }
   }
-  plan.rewrite = !plan.fragments_used.empty();
-  return plan;
+  return chosen;
 }
 
 /// Rewrites every bound column reference of `expr` in place: refs to range r
@@ -83,10 +73,25 @@ void RequalifyExpr(
 
 }  // namespace
 
-Result<RewriteResult> RewriteForPartitions(
+bool FragmentChoice::changed() const {
+  for (const Range& range : ranges) {
+    if (!range.fragments.empty()) return true;
+  }
+  return false;
+}
+
+Result<FragmentChoice> ChooseFragments(
     const CatalogReader& catalog, const SelectStatement& bound_stmt,
     const std::vector<const TableInfo*>& fragments) {
-  const int num_rels = static_cast<int>(bound_stmt.from.size());
+  const size_t num_rels = bound_stmt.from.size();
+  FragmentChoice choice;
+  choice.ranges.resize(num_rels);
+  for (size_t r = 0; r < num_rels; ++r) {
+    choice.ranges[r].table = catalog.GetTable(bound_stmt.from[r].bound_table);
+    if (choice.ranges[r].table == nullptr) {
+      return Status::BindError("statement not bound to this catalog");
+    }
+  }
 
   // Group fragments by parent table.
   std::map<TableId, std::vector<const TableInfo*>> by_parent;
@@ -95,15 +100,24 @@ Result<RewriteResult> RewriteForPartitions(
       by_parent[frag->parent_table].push_back(frag);
     }
   }
+  if (by_parent.empty()) return choice;
 
-  // Columns used per range.
-  std::vector<std::set<ColumnId>> used(static_cast<size_t>(num_rels));
+  // Columns used per range, as flags over the range table's columns.
+  std::vector<std::vector<char>> used(num_rels);
+  for (size_t r = 0; r < num_rels; ++r) {
+    used[r].assign(
+        static_cast<size_t>(choice.ranges[r].table->schema.num_columns()), 0);
+  }
+  std::vector<std::pair<int, ColumnId>> refs;
   auto collect = [&](const Expr* expr) {
     if (expr == nullptr) return;
-    std::vector<std::pair<int, ColumnId>> refs;
+    refs.clear();
     expr->CollectColumnRefs(&refs);
     for (const auto& [range, col] : refs) {
-      if (range >= 0) used[range].insert(col);
+      if (range >= 0 && col >= 0 &&
+          static_cast<size_t>(col) < used[static_cast<size_t>(range)].size()) {
+        used[static_cast<size_t>(range)][static_cast<size_t>(col)] = 1;
+      }
     }
   };
   bool has_star = false;
@@ -119,52 +133,54 @@ Result<RewriteResult> RewriteForPartitions(
   for (const OrderItem& item : bound_stmt.order_by) collect(item.expr.get());
 
   // Decide per range.
-  std::vector<RangePlan> plans(static_cast<size_t>(num_rels));
-  bool any = false;
-  for (int r = 0; r < num_rels; ++r) {
-    const TableInfo* table = catalog.GetTable(bound_stmt.from[r].bound_table);
-    if (table == nullptr) {
-      return Status::BindError("statement not bound to this catalog");
-    }
+  for (size_t r = 0; r < num_rels; ++r) {
+    const TableInfo* table = choice.ranges[r].table;
     auto it = by_parent.find(table->id);
     if (it == by_parent.end()) continue;
-    std::set<ColumnId> needed = used[r];
-    if (has_star) {
-      for (ColumnId c = 0; c < table->schema.num_columns(); ++c) {
-        needed.insert(c);
+    std::vector<char>& needed = used[r];
+    if (has_star) std::fill(needed.begin(), needed.end(), 1);
+    if (std::find(needed.begin(), needed.end(), 1) == needed.end()) {
+      // Query counts rows only; the narrowest fragment serves it.
+      const ColumnId pk0 =
+          table->primary_key.empty() ? 0 : table->primary_key[0];
+      if (static_cast<size_t>(pk0) < needed.size()) {
+        needed[static_cast<size_t>(pk0)] = 1;
       }
     }
-    if (needed.empty()) {
-      // Query counts rows only; the narrowest fragment serves it.
-      needed.insert(table->primary_key.empty() ? 0 : table->primary_key[0]);
-    }
-    plans[r] = PlanRange(needed, it->second);
+    std::vector<const TableInfo*> cover =
+        CoverColumns(std::move(needed), it->second);
     // A multi-fragment rewrite reconstructs rows by joining on the parent
     // primary key; without one the fragments cannot be recombined.
-    if (plans[r].rewrite && plans[r].fragments_used.size() > 1 &&
-        table->primary_key.empty()) {
-      plans[r] = RangePlan{};
-    }
-    any = any || plans[r].rewrite;
+    if (cover.size() > 1 && table->primary_key.empty()) continue;
+    choice.ranges[r].fragments = std::move(cover);
   }
+  return choice;
+}
 
+Result<RewriteResult> BuildRewrite(const CatalogReader& catalog,
+                                   const SelectStatement& bound_stmt,
+                                   const FragmentChoice& choice) {
+  if (choice.ranges.size() != bound_stmt.from.size()) {
+    return Status::InvalidArgument("fragment choice is for another statement");
+  }
   RewriteResult result;
   result.stmt = bound_stmt.Clone();
-  if (!any) {
+  if (!choice.changed()) {
     result.changed = false;
     PARINDA_RETURN_IF_ERROR(BindStatement(catalog, &result.stmt));
     return result;
   }
 
   // Build the new FROM list and the (range, column) -> alias map.
-  std::vector<std::map<ColumnId, std::string>> alias_of(
-      static_cast<size_t>(num_rels));
+  const size_t num_rels = bound_stmt.from.size();
+  std::vector<std::map<ColumnId, std::string>> alias_of(num_rels);
   std::vector<TableRef> new_from;
   std::vector<std::unique_ptr<Expr>> pk_join_conds;
-  for (int r = 0; r < num_rels; ++r) {
+  for (size_t r = 0; r < num_rels; ++r) {
     const TableRef& original = bound_stmt.from[r];
-    const TableInfo* table = catalog.GetTable(original.bound_table);
-    if (!plans[r].rewrite) {
+    const TableInfo* table = choice.ranges[r].table;
+    const std::vector<const TableInfo*>& used = choice.ranges[r].fragments;
+    if (used.empty()) {
       TableRef keep = original;
       keep.bound_table = kInvalidTableId;
       // Qualify this range's columns with its effective name so added
@@ -175,20 +191,20 @@ Result<RewriteResult> RewriteForPartitions(
       new_from.push_back(std::move(keep));
       continue;
     }
-    const RangePlan& plan = plans[r];
     std::vector<std::string> frag_aliases;
-    for (size_t k = 0; k < plan.fragments_used.size(); ++k) {
+    for (size_t k = 0; k < used.size(); ++k) {
       TableRef ref;
-      ref.table_name = plan.fragments_used[k]->name;
+      ref.table_name = used[k]->name;
       ref.alias = original.EffectiveName() + "_p" + std::to_string(k);
       frag_aliases.push_back(ref.alias);
       new_from.push_back(std::move(ref));
-    }
-    for (const auto& [col, frag_index] : plan.column_home) {
-      alias_of[r][col] = frag_aliases[static_cast<size_t>(frag_index)];
+      // Each column is served by the first chosen fragment holding it.
+      for (ColumnId col : used[k]->parent_columns) {
+        alias_of[r].emplace(col, frag_aliases.back());
+      }
     }
     // Join the fragments on the parent primary key.
-    for (size_t k = 1; k < plan.fragments_used.size(); ++k) {
+    for (size_t k = 1; k < used.size(); ++k) {
       for (ColumnId pk : table->primary_key) {
         const std::string& pk_name = table->schema.column(pk).name;
         pk_join_conds.push_back(Expr::MakeBinary(
@@ -222,6 +238,14 @@ Result<RewriteResult> RewriteForPartitions(
   PARINDA_RETURN_IF_ERROR(BindStatement(catalog, &result.stmt));
   result.changed = true;
   return result;
+}
+
+Result<RewriteResult> RewriteForPartitions(
+    const CatalogReader& catalog, const SelectStatement& bound_stmt,
+    const std::vector<const TableInfo*>& fragments) {
+  PARINDA_ASSIGN_OR_RETURN(FragmentChoice choice,
+                           ChooseFragments(catalog, bound_stmt, fragments));
+  return BuildRewrite(catalog, bound_stmt, choice);
 }
 
 }  // namespace parinda

@@ -86,7 +86,6 @@ std::string QueryFoldSignature(const CatalogReader& catalog,
 CompressedWorkload CompressWorkload(const CatalogReader& catalog,
                                     const Workload& workload) {
   CompressedWorkload out;
-  out.original_size = static_cast<int>(workload.queries.size());
   std::map<TableId, uint64_t> fingerprints;
   std::map<std::string, int> classes;
   for (size_t i = 0; i < workload.queries.size(); ++i) {

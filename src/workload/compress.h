@@ -43,17 +43,17 @@ struct WorkloadExpansion {
 struct CompressedWorkload {
   Workload workload;
   WorkloadExpansion expansion;
-  int original_size = 0;
 
   /// Number of queries eliminated by folding.
   int folded() const {
-    return original_size - static_cast<int>(workload.queries.size());
+    return expansion.original_size() -
+           static_cast<int>(workload.queries.size());
   }
   /// original/compressed query-count ratio (1.0 for an empty workload).
   double ratio() const {
     return workload.queries.empty()
                ? 1.0
-               : static_cast<double>(original_size) /
+               : static_cast<double>(expansion.original_size()) /
                      static_cast<double>(workload.queries.size());
   }
 };

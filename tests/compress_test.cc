@@ -57,7 +57,7 @@ TEST(CompressTest, FoldsIdenticalQueriesAndSumsWeights) {
 
   const CompressedWorkload compressed =
       CompressWorkload(db->catalog(), *workload);
-  EXPECT_EQ(compressed.original_size, 4);
+  EXPECT_EQ(compressed.expansion.original_size(), 4);
   ASSERT_EQ(compressed.workload.size(), 2);
   EXPECT_EQ(compressed.folded(), 2);
   EXPECT_DOUBLE_EQ(compressed.ratio(), 2.0);

@@ -337,10 +337,13 @@ TEST_F(BitmapScanTest, BitmapCostBetweenIndexAndSeqAtMidSelectivity) {
   const IndexInfo* index = db_.catalog().TableIndexes(orders_)[0];
   CostParams params;
   const double sel = 0.04;
-  const double seq = CostSeqScan(params, *table, sel, 1).total;
-  const double plain = CostIndexScan(params, *table, *index, sel, sel, 1, 0).total;
+  const double seq = CostSeqScan(params, RelSize::Of(*table), sel, 1).total;
+  const double plain =
+      CostIndexScan(params, *table, RelSize::Of(*table), *index, sel, sel, 1, 0)
+          .total;
   const double bitmap =
-      CostBitmapHeapScan(params, *table, *index, sel, sel, 1, 0).total;
+      CostBitmapHeapScan(params, RelSize::Of(*table), *index, sel, sel, 1, 0)
+          .total;
   EXPECT_LT(bitmap, plain);
   EXPECT_LT(bitmap, seq);
 }

@@ -204,8 +204,10 @@ echo "--- bench_interactive --json --trace: both exports valid"
 echo "=== engine cost-cache smoke test ==="
 # The shared evaluation engine (DESIGN.md §13) must pay for itself: an
 # AutoPart run (E6e in bench_autopart) makes at most half the planner calls
-# of the naive queries x evaluations bound, at a non-trivial hit rate. Only
-# inequalities: the count varies slightly between runs at parallelism > 1.
+# of the naive queries x evaluations bound, at a non-trivial hit rate, and
+# rewrites a statement only to plan it (the cache is keyed on the rewriter's
+# fragment choice, so a hit needs no rewrite): at most one rewrite per
+# planner call.
 ./build/bench/bench_autopart \
   --json=/tmp/parinda_ci_autopart.json \
   --benchmark_min_time=0.01 > /dev/null
@@ -217,11 +219,15 @@ cached = metrics["e6e.plans_built_cached"]
 naive = metrics["e6e.queries"] * metrics["e6e.evaluations"]
 assert cached * 2 <= naive, (cached, naive)
 assert metrics["e6e.cache_hit_rate"] > 0.5, metrics["e6e.cache_hit_rate"]
+rewrites = metrics["e6e.rewrites"]
+assert rewrites <= cached, (rewrites, cached)
 print(f"--- engine cache: {cached:.0f} planner calls vs {naive:.0f} "
-      f"naive bound, hit rate {metrics['e6e.cache_hit_rate']:.1%}")
+      f"naive bound, hit rate {metrics['e6e.cache_hit_rate']:.1%}, "
+      f"{rewrites:.0f} rewrites")
 EOF
 else
   grep -q '"e6e.plans_built_cached"' /tmp/parinda_ci_autopart.json
+  grep -q '"e6e.rewrites"' /tmp/parinda_ci_autopart.json
   echo "--- engine cache: metrics present (python3 unavailable for bounds)"
 fi
 
